@@ -103,24 +103,29 @@ def rll_adjacency(L: int) -> np.ndarray:
 
 
 def perron_pair(A: np.ndarray, tol: float = 1e-13, max_iters: int = 200_000):
-    """Dominant eigenvalue and positive right eigenvector by power iteration.
+    """Dominant eigenvalue and nonnegative right eigenvector by power iteration.
 
-    Raises :class:`ConvergenceError` if the residual does not reach
-    ``tol * lam`` within ``max_iters`` sweeps.
+    The iteration runs on ``A + I``: it has the same Perron vector, and its
+    eigenvalue lam + 1 strictly dominates every other, so periodic matrices
+    such as ``[[0, 2], [1, 0]]`` (eigenvalues +-sqrt 2) converge too. The
+    residual is checked against ``A`` itself. Raises
+    :class:`ConvergenceError` if it does not reach ``tol * lam`` within
+    ``max_iters`` sweeps.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("perron_pair needs a square matrix")
     if np.any(A < 0):
         raise ValueError("perron_pair needs a nonnegative matrix")
+    B = A + np.eye(A.shape[0])
     v = np.full(A.shape[0], 1.0 / A.shape[0])
-    lam = 1.0
+    lam = 0.0
     for _ in range(max_iters):
-        w = A @ v
+        w = B @ v
         s = w.sum()
-        if s <= 0.0 or not np.isfinite(s):
-            raise ConvergenceError("power iteration collapsed (zero or non-finite)")
-        lam = s / v.sum()
+        if not np.isfinite(s):
+            raise ConvergenceError("power iteration collapsed (non-finite)")
+        lam = s / v.sum() - 1.0
         w /= s
         if np.max(np.abs(A @ w - lam * w)) <= tol * lam:
             return float(lam), w

@@ -16,14 +16,15 @@ LOG_HALF = float(np.log2(0.5))
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial proportion (z = 1.96)."""
+    """95% Wilson score interval for a binomial proportion (z = 1.96), within [0, 1]."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * np.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
-    return float(center - half), float(center + half)
+    # at k = 0 or k = n the bound that should be exact misses 0 or 1 by rounding
+    return max(0.0, float(center - half)), min(1.0, float(center + half))
 
 
 def response_matrix(book: Codebook, channel: ChannelSpec,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from p300channel import gbaa
 from p300channel import (AwgnNoise, BinarySymmetric, ChannelSpec, GbaaConfig,
                          MarkovSource, Noiseless, brute_force_mi, entropy_rate,
                          estimate_rate, fixed_point_a, gbaa_optimize,
@@ -57,6 +58,10 @@ class TestEstimateRate:
         se = [estimate_rate(src, chan, n=n, seed=9).std_err
               for n in (10_000, 160_000)]
         assert se[1] < se[0] / 2   # ~1/sqrt(16) ideally
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(ValueError, match="n must be"):
+            estimate_rate(maxentropic_source(1), ChannelSpec(1), n=0, seed=0)
 
     def test_reducible_source_rejected(self):
         with pytest.raises(ValueError, match="recurrent"):
@@ -131,3 +136,20 @@ class TestGbaaOptimize:
         src, est, _ = gbaa_optimize(chan, cfg)
         assert src.order == 2
         assert est.rate == pytest.approx(noiseless_rate(1).rate, abs=0.02)
+
+    @pytest.mark.parametrize("max_iters, rate_tol, iterations", [
+        (3, 1e-6, 3),     # runs to max_iters
+        (6, 1.0, 2),      # any two rates are within 1 bit: stops on rate_tol
+    ])
+    def test_last_update_skipped(self, monkeypatch, max_iters, rate_tol, iterations):
+        # the update after the last iteration would never be used, so its
+        # backward pass must not run
+        calls = []
+        backward = gbaa._scaled_backward
+        monkeypatch.setattr(gbaa, "_scaled_backward",
+                            lambda *a: calls.append(1) or backward(*a))
+        cfg = GbaaConfig(order=1, sample_len=2_000, max_iters=max_iters,
+                         rate_tol=rate_tol, seed=4)
+        _, _, trace = gbaa_optimize(ChannelSpec(1, AwgnNoise(0.5)), cfg)
+        assert len(trace) == iterations
+        assert len(calls) == iterations - 1

@@ -104,6 +104,26 @@ class TestPerronRoute:
         with pytest.raises(ValueError):
             perron_pair(np.ones((2, 3)))
 
+    def test_perron_pair_periodic(self):
+        # irreducible with period 2: eigenvalues +-sqrt(2) have equal modulus
+        A = np.array([[0.0, 2.0], [1.0, 0.0]])
+        lam, v = perron_pair(A)
+        assert lam == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        assert np.all(v > 0)
+        assert np.allclose(A @ v, lam * v, atol=1e-12)
+        assert v[0] / v[1] == pytest.approx(np.sqrt(2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("A, root", [
+        ([[2.0, 1.0], [0.0, 1.0]], 2.0),                          # triangular
+        ([[1.0, 0.0, 0.0], [0.0, 0.0, 3.0], [0.0, 3.0, 0.0]], 3.0),  # two classes, one periodic
+    ])
+    def test_perron_pair_reducible(self, A, root):
+        A = np.array(A)
+        lam, v = perron_pair(A)
+        assert lam == pytest.approx(root, abs=1e-12)
+        assert np.all(v >= 0)
+        assert np.allclose(A @ v, lam * v, atol=1e-12)
+
 
 class TestMaxentropicSource:
     def test_L1_probabilities(self):

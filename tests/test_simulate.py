@@ -22,6 +22,14 @@ class TestWilson:
         lo, hi = wilson_interval(50, 50)
         assert 0.0 <= lo < hi <= 1.0
 
+    @pytest.mark.parametrize("all_correct", [False, True])
+    def test_extremes_clamped_for_every_trial_count(self, all_correct):
+        # unclamped, k = n gave ci_hi = 1 + 2e-16 for thousands of n (3000/3000 among them)
+        for n in range(1, 20_001):
+            lo, hi = wilson_interval(n if all_correct else 0, n)
+            assert 0.0 <= lo <= hi <= 1.0
+        assert wilson_interval(3000, 3000)[1] == 1.0
+
     def test_shrinks_with_trials(self):
         w1 = np.diff(wilson_interval(50, 100))
         w2 = np.diff(wilson_interval(5000, 10000))
