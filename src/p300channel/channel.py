@@ -38,6 +38,16 @@ class ChannelState:
 GROUND = ChannelState(0)
 
 
+def state_history(s0: ChannelState, width: int) -> int:
+    """History integer (newest bit in the LSB) of the pre-history that ``s0`` implies.
+
+    R_l stands for a lone 1 input l steps back, as in :func:`fsm_response`,
+    so it is bit l - 1; a bit beyond the ``width`` newest inputs is dropped.
+    GROUND is the all-zero history.
+    """
+    return (1 << (s0.level - 1)) & ((1 << width) - 1) if s0.level else 0
+
+
 def refractory(level: int) -> ChannelState:
     """The refractory state R_level, level in 1..L."""
     if level < 1:

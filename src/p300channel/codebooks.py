@@ -73,11 +73,17 @@ def gen_mbc(source: MarkovSource, W: int, N: int, seed: int) -> Codebook:
     """Rows drawn i.i.d. from ``source`` started at its stationary history law.
 
     Duplicate rows are resampled; the retry budget bounds degenerate sources
-    (an all-zero source can never produce W distinct rows).
+    (an all-zero source can never produce W distinct rows). Each candidate
+    row takes N + 1 uniforms: the first picks its start history by the
+    inverse-CDF rule of ``Generator.choice``, the rest drive the source.
+    Candidates are drawn in batches and taken in order, so the book is the
+    one a row-by-row draw gives.
     """
     if N < 1 or W < 1:
         raise ValueError(f"need W >= 1 and N >= 1, got W={W}, N={N}")
     pi = stationary_distribution(source)   # also rejects multi-class chains
+    cdf = pi.cumsum()
+    cdf /= cdf[-1]
     rng = np.random.default_rng(np.random.SeedSequence([seed, W, N]))
     rows: list[tuple] = []
     seen: set[tuple] = set()
@@ -87,13 +93,15 @@ def gen_mbc(source: MarkovSource, W: int, N: int, seed: int) -> Codebook:
             raise ValueError(
                 f"could not draw {W} distinct rows of length {N} from this source"
             )
-        budget -= 1
-        h0 = int(rng.choice(source.num_histories, p=pi))
-        row = tuple(source.sample(N, rng, init=h0))
-        if row in seen:
-            continue
-        seen.add(row)
-        rows.append(row)
+        batch = min(budget, W - len(rows))
+        budget -= batch
+        U = rng.random((batch, N + 1))
+        h0 = cdf.searchsorted(U[:, 0], side="right")
+        for row in map(tuple, source._sweep(U[:, 1:], h0)):
+            if row in seen:
+                continue
+            seen.add(row)
+            rows.append(row)
     return Codebook(np.array(rows, dtype=np.int8),
                     kind=f"mbc(order={source.order})", seed=seed, source=source)
 

@@ -22,15 +22,15 @@ takes about 3 sqrt(n) vectorized Python steps instead of n.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import (AwgnNoise, BinarySymmetric, ChannelSpec, ChannelState, GROUND,
-                      Noiseless, NoiseLaw, build_trellis, fsm_response, apply_noise)
+                      Noiseless, NoiseLaw, build_trellis, fsm_response, apply_noise,
+                      state_history)
 from .rates import ConvergenceError, binary_entropy, perron_pair
-from .sources import MarkovSource, recurrent_classes
+from .sources import MarkovSource, _chunk_len, recurrent_classes
 
 
 @dataclass(frozen=True)
@@ -121,11 +121,6 @@ class _JointTrellis:
         rmask = source.num_histories - 1
         p1 = source.p1[self.edge_from & rmask]
         self.edge_prob = np.where(self.edge_input == 1, p1, 1.0 - p1)
-
-
-def _chunk_len(n: int) -> int:
-    """Chunk length C = ceil(sqrt(n)) of the two-level scan over n steps."""
-    return math.isqrt(n - 1) + 1 if n > 1 else 1
 
 
 def _chunked_scan(f: np.ndarray, v0: np.ndarray, gather: np.ndarray, prob: np.ndarray,
@@ -240,7 +235,7 @@ def _check_single_recurrent_class(source: MarkovSource):
 
 def _simulate_block(source: MarkovSource, channel: ChannelSpec, n: int,
                     rng: np.random.Generator, s0: ChannelState):
-    x = source.sample(n, rng, init="zeros")
+    x = source.sample(n, rng, init=state_history(s0, source.order))
     z = fsm_response(x, channel.refractory_len, s0)
     y = apply_noise(z, channel.noise, rng)
     return x, z, y
@@ -264,7 +259,9 @@ def estimate_rate(source: MarkovSource, channel: ChannelSpec, n: int, seed: int,
     One length-n realization is simulated; (1/n)(-log2 p(y_1^n)) comes from
     the scale factors of the chunked forward scan, which keeps no per-step
     state vectors, and the conditional term from its closed form. The
-    difference is clipped to [0, 1].
+    difference is clipped to [0, 1]. The source, the gate and the forward
+    pass all start from the pre-history that ``s0`` implies
+    (:func:`~p300channel.channel.state_history`).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -273,7 +270,7 @@ def estimate_rate(source: MarkovSource, channel: ChannelSpec, n: int, seed: int,
     _, _, y = _simulate_block(source, channel, n, rng, s0)
     jt = _JointTrellis(source, channel)
     f = _emission_table(np.asarray(y, dtype=np.float64), channel.noise)
-    _, log2c = _scaled_forward(jt, f, keep_alphas=False)
+    _, log2c = _scaled_forward(jt, f, h0=state_history(s0, jt.memory), keep_alphas=False)
     rate, std_err = _rate_from_scales(log2c, conditional_entropy_per_symbol(channel.noise), n_blocks)
     return RateEstimate(rate=float(np.clip(rate, 0.0, 1.0)), std_err=std_err, sample_len=n)
 

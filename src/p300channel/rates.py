@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import AwgnNoise, BinarySymmetric, ChannelSpec, ChannelState, GROUND, Noiseless
+from .channel import (AwgnNoise, BinarySymmetric, ChannelSpec, ChannelState, GROUND, Noiseless,
+                      state_history)
 from .sources import MarkovSource, stationary_distribution
 
 
@@ -180,10 +181,11 @@ def brute_force_mi(source: MarkovSource, channel: ChannelSpec, n: int,
                    s0: ChannelState = GROUND) -> float:
     """Exact I(X_1^n; Y_1^n | S_0 = s0) / n for binary-output channels.
 
-    Enumerates all 2^n inputs with their Markov probabilities (source started
-    from the all-zero history, matching the ground-state convention) and all
-    reachable gate outputs. The output alphabet must be finite, so AWGN is
-    rejected. A test instrument: n is capped at 14.
+    Enumerates all 2^n inputs with their Markov probabilities and all
+    reachable gate outputs; the source and the gate both start from the
+    pre-history that ``s0`` implies (all zeros for GROUND). The output
+    alphabet must be finite, so AWGN is rejected. A test instrument: n is
+    capped at 14.
     """
     if isinstance(channel.noise, AwgnNoise):
         raise ValueError("brute_force_mi needs a finite output alphabet; AWGN rejected")
@@ -197,8 +199,8 @@ def brute_force_mi(source: MarkovSource, channel: ChannelSpec, n: int,
     lmask = (1 << L) - 1
     xs = np.arange(1 << n, dtype=np.int64)
     probs = np.ones(1 << n)
-    h = np.zeros(1 << n, dtype=np.int64)
-    hz = np.full(1 << n, (1 << (s0.level - 1)) if s0.level >= 1 else 0, dtype=np.int64)
+    h = np.full(1 << n, state_history(s0, source.order), dtype=np.int64)
+    hz = np.full(1 << n, state_history(s0, L), dtype=np.int64)
     zints = np.zeros(1 << n, dtype=np.int64)
     for t in range(n):
         bit = (xs >> (n - 1 - t)) & 1

@@ -115,11 +115,10 @@ def _decode_batch(Y: np.ndarray, Z: np.ndarray, noise, chunk: int = 2048) -> np.
     return out
 
 
-def run_experiment(cfg: SimConfig, n_shards: int = 1) -> SimReport:
+def run_experiment(cfg: SimConfig) -> SimReport:
     """Spell ``runs`` uniformly drawn targets and score the MAP decoder.
 
-    Every run draws from its own spawned seed, so results are identical for
-    any ``n_shards`` split of the run loop.
+    Every run draws its target and noise from its own spawned seed.
     """
     book, channel = cfg.codebook, cfg.channel
     if cfg.s0.level > channel.refractory_len:
@@ -131,13 +130,11 @@ def run_experiment(cfg: SimConfig, n_shards: int = 1) -> SimReport:
     targets = np.empty(cfg.runs, dtype=np.int64)
     is_awgn = isinstance(channel.noise, AwgnNoise)
     Y = np.empty((cfg.runs, N), dtype=np.float64 if is_awgn else np.int8)
-    bounds = np.linspace(0, cfg.runs, max(1, n_shards) + 1, dtype=int)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        for i in range(lo, hi):
-            rng = np.random.default_rng(children[i])
-            t = int(rng.integers(W))
-            targets[i] = t
-            Y[i] = apply_noise(Z[t], channel.noise, rng)
+    for i, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        t = int(rng.integers(W))
+        targets[i] = t
+        Y[i] = apply_noise(Z[t], channel.noise, rng)
     decoded = _decode_batch(Y, Z, channel.noise)
 
     correct = int(np.sum(decoded == targets))

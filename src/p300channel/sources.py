@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +67,20 @@ class MarkovSource:
         """Draw a length-n realization.
 
         ``init`` selects the starting history: "zeros", "stationary", or an
-        explicit history integer.
+        explicit history integer. Bit t is ``u[t] < p1[h_t]`` for
+        ``u = rng.random(n)``, computed by a two-level chunked scan over
+        history integers: with K chunks of C = ceil(sqrt(n)) steps,
+
+        1. the H -> H history map of each of the first K-1 chunks (H = 2^r),
+           for all chunks at once, one step at a time;
+        2. a K-step walk of those maps from the start history, which gives
+           the history at every chunk boundary;
+        3. a C-step sweep inside all chunks at once from their boundary
+           histories, which draws every bit.
+
+        That is about 2C + K Python steps instead of n; the comparisons and
+        the generator draws are those of the step-by-step loop, so the output
+        and the generator state afterwards are identical to it.
         """
         if init == "zeros":
             h = 0
@@ -77,15 +91,42 @@ class MarkovSource:
             h = int(init)
             if not 0 <= h < self.num_histories:
                 raise ValueError(f"history {h} out of range for order {self.order}")
-        mask = self.num_histories - 1
         u = rng.random(n)
-        p1 = self.p1
-        out = np.empty(n, dtype=np.int8)
-        for t in range(n):
-            b = 1 if u[t] < p1[h] else 0
-            out[t] = b
+        if n == 0:
+            return np.empty(0, dtype=np.int8)
+        C = _chunk_len(n)
+        K = -(-n // C)
+        # pad to K full chunks; the padding only drives bits past n, which are dropped
+        U = np.ones(K * C)
+        U[:n] = u
+        U = U.reshape(K, C)
+        H = self.num_histories
+        M = np.broadcast_to(np.arange(H), (K - 1, H))
+        for i in range(C):
+            M = ((M << 1) | (U[:-1, i, None] < self.p1[M])) & (H - 1)
+        bounds = [h]
+        for m in M.tolist():
+            bounds.append(m[bounds[-1]])
+        return self._sweep(U, np.array(bounds)).ravel()[:n]
+
+    def _sweep(self, U: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """Bits of independent chains: row k starts at history h[k], driven by U[k].
+
+        Column i holds bit i of every row, ``U[:, i] < p1[h]``, which each
+        history then shifts in.
+        """
+        mask = self.num_histories - 1
+        X = np.empty(U.shape, dtype=np.int8)
+        for i in range(U.shape[1]):
+            b = U[:, i] < self.p1[h]
+            X[:, i] = b
             h = ((h << 1) | b) & mask
-        return out
+        return X
+
+
+def _chunk_len(n: int) -> int:
+    """Chunk length C = ceil(sqrt(n)) of a two-level scan over n steps."""
+    return math.isqrt(n - 1) + 1 if n > 1 else 1
 
 
 def history_label(h: int, order: int) -> str:

@@ -1,13 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from p300channel import gbaa
 from p300channel import (AwgnNoise, BinarySymmetric, ChannelSpec, GbaaConfig,
-                         MarkovSource, Noiseless, brute_force_mi, entropy_rate,
+                         MarkovSource, Noiseless, binary_entropy, brute_force_mi, entropy_rate,
                          estimate_rate, fixed_point_a, gbaa_optimize,
                          maxentropic_source, noiseless_rate)
+from p300channel.channel import GROUND, fsm_run, refractory, state_history
 from p300channel.gbaa import (_JointTrellis, _emission_table, _scaled_forward,
-                              conditional_entropy_per_symbol)
+                              _simulate_block, conditional_entropy_per_symbol)
 
 GOLDEN_RATE = 0.6942419136306174
 
@@ -67,6 +70,73 @@ class TestEstimateRate:
         with pytest.raises(ValueError, match="recurrent"):
             estimate_rate(MarkovSource(1, np.array([0.0, 1.0])), ChannelSpec(1),
                           n=1000, seed=0)
+
+
+def _enumerated_log2_py(source, L, eps, y, s0):
+    """log2 p(y | S_0 = s0) summed over every input, by the gate fold.
+
+    The pre-history is written out as bits: R_l is a lone 1 l steps back.
+    """
+    r, n = source.order, y.size
+    pre = [0] * max(r, L)
+    if s0.level:
+        pre[-s0.level] = 1
+    h0 = int("".join(map(str, pre[-r:])), 2)
+    total = 0.0
+    for bits in itertools.product((0, 1), repeat=n):
+        p, h = 1.0, h0
+        for b in bits:
+            p *= source.p1[h] if b else 1.0 - source.p1[h]
+            h = ((h << 1) | b) & (source.num_histories - 1)
+        z, _ = fsm_run(np.array(bits), s0, L)
+        d = int(np.sum(z != y))
+        total += p * eps ** d * (1.0 - eps) ** (n - d)
+    return float(np.log2(total))
+
+
+class TestInitialState:
+    def test_state_history(self):
+        assert state_history(GROUND, 3) == 0
+        assert [state_history(refractory(l), 3) for l in (1, 2, 3)] == [1, 2, 4]
+        assert state_history(refractory(2), 1) == 0   # the 1 lies beyond the window
+
+    @pytest.mark.parametrize("L, r", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)])
+    def test_forward_matches_enumeration_from_every_state(self, L, r):
+        eps = 0.1
+        rng = np.random.default_rng(10 * L + r)
+        source = MarkovSource(r, rng.uniform(0.1, 0.9, 1 << r))
+        channel = ChannelSpec(L, BinarySymmetric(eps))
+        jt = _JointTrellis(source, channel)
+        for s0 in [GROUND] + [refractory(l) for l in range(1, L + 1)]:
+            y = rng.integers(0, 2, 9).astype(np.int8)
+            f = _emission_table(y.astype(np.float64), channel.noise)
+            _, log2c = _scaled_forward(jt, f, h0=state_history(s0, jt.memory))
+            want = _enumerated_log2_py(source, L, eps, y, s0)
+            assert log2c.sum() == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("L, r", [(1, 1), (2, 2), (2, 3)])
+    def test_estimate_rate_starts_source_gate_and_forward_at_s0(self, L, r):
+        eps, n = 0.02, 10
+        source = MarkovSource(r, np.random.default_rng(r).uniform(0.3, 0.7, 1 << r))
+        channel = ChannelSpec(L, BinarySymmetric(eps))
+        for level in range(L + 1):
+            s0 = refractory(level) if level else GROUND
+            for seed in range(3):
+                _, _, y = _simulate_block(source, channel, n, np.random.default_rng(seed), s0)
+                want = -_enumerated_log2_py(source, L, eps, y, s0) / n - binary_entropy(eps)
+                est = estimate_rate(source, channel, n, seed, s0=s0, n_blocks=2)
+                assert est.rate == pytest.approx(np.clip(want, 0.0, 1.0), abs=1e-12)
+
+    def test_source_sample_starts_at_s0_history(self):
+        # from history 1 the constrained source cannot emit a 1 next
+        source = MarkovSource.constrained(1, 0.9)
+        channel = ChannelSpec(1, Noiseless())
+        firsts = [_simulate_block(source, channel, 5, np.random.default_rng(s),
+                                  refractory(1))[0][0] for s in range(40)]
+        assert max(firsts) == 0
+        grounds = [_simulate_block(source, channel, 5, np.random.default_rng(s),
+                                   GROUND)[0][0] for s in range(40)]
+        assert max(grounds) == 1
 
 
 class TestForwardRecursion:

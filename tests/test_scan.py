@@ -13,9 +13,10 @@ import pytest
 
 from p300channel import (AwgnNoise, BinarySymmetric, ChannelSpec, MarkovSource, Noiseless,
                          apply_noise, fsm_response)
-from p300channel.gbaa import (_JointTrellis, _chunk_len, _edge_weights, _emission_table,
+from p300channel.gbaa import (_JointTrellis, _edge_weights, _emission_table,
                               _scaled_backward, _scaled_forward)
 from p300channel.rates import ConvergenceError
+from p300channel.sources import _chunk_len
 
 TOL = 1e-12
 

@@ -98,14 +98,15 @@ class TestRunExperiment:
         assert a.accuracy == b.accuracy
         assert np.array_equal(a.per_char_confusion, b.per_char_confusion)
 
-    def test_shard_invariance(self):
+    def test_same_seed_same_report(self):
         book = gen_rcp(36, 24, seed=5)
-        cfg = SimConfig(book, ChannelSpec(1, AwgnNoise(1.0)), runs=250, seed=4,
+        cfg = SimConfig(book, ChannelSpec(1, BinarySymmetric(0.2)), runs=250, seed=4,
                         track_confusion=True)
-        reports = [run_experiment(cfg, n_shards=k) for k in (1, 3, 7)]
-        for rep in reports[1:]:
-            assert rep.accuracy == reports[0].accuracy
-            assert np.array_equal(rep.per_char_confusion, reports[0].per_char_confusion)
+        a, b = run_experiment(cfg), run_experiment(cfg)
+        assert a.to_dict() == b.to_dict()
+        other = run_experiment(SimConfig(book, cfg.channel, runs=250, seed=5,
+                                         track_confusion=True))
+        assert not np.array_equal(other.per_char_confusion, a.per_char_confusion)
 
     def test_confusion_rows_count_trials(self):
         book = gen_rcp(36, 24, seed=6)

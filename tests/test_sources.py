@@ -1,9 +1,52 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from p300channel import MarkovSource, ReducibleChainError, load_source, save_source
+from p300channel import (MarkovSource, ReducibleChainError, gen_mbc, load_source,
+                         maxentropic_source, save_source)
 from p300channel.sources import (history_from_label, history_label, recurrent_classes,
                                  stationary_distribution)
+
+
+def loop_sample(source, n, rng, init="zeros"):
+    """Oracle: the step-by-step sampler, one symbol per Python step."""
+    if init == "zeros":
+        h = 0
+    elif init == "stationary":
+        pi = stationary_distribution(source)
+        h = int(rng.choice(source.num_histories, p=pi))
+    else:
+        h = int(init)
+    mask = source.num_histories - 1
+    u = rng.random(n)
+    p1 = source.p1
+    out = np.empty(n, dtype=np.int8)
+    for t in range(n):
+        b = 1 if u[t] < p1[h] else 0
+        out[t] = b
+        h = ((h << 1) | b) & mask
+    return out
+
+
+def loop_gen_mbc(source, W, N, seed):
+    """Oracle: MBC rows drawn one at a time, each from its own choice() start."""
+    pi = stationary_distribution(source)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, W, N]))
+    rows, seen, budget, drawn = [], set(), 20 * W, 0
+    while len(rows) < W:
+        if budget == 0:
+            raise ValueError(
+                f"could not draw {W} distinct rows of length {N} from this source"
+            )
+        budget -= 1
+        drawn += 1
+        h0 = int(rng.choice(source.num_histories, p=pi))
+        row = tuple(loop_sample(source, N, rng, init=h0))
+        if row in seen:
+            continue
+        seen.add(row)
+        rows.append(row)
+    return np.array(rows, dtype=np.int8), drawn
 
 
 def test_constrained_shape():
@@ -102,3 +145,96 @@ def test_source_file_validation(tmp_path):
     path.write_text("# order=1\n00,0.5\n01,0.5\n")
     with pytest.raises(ValueError, match="order"):
         load_source(path)
+
+
+# ---------------------------------------------------------------------------
+# Chunked sampler vs the step-by-step loop
+# ---------------------------------------------------------------------------
+
+@st.composite
+def markov_sources(draw):
+    order = draw(st.integers(1, 4))
+    entry = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    p1 = draw(st.lists(entry, min_size=1 << order, max_size=1 << order))
+    return MarkovSource(order, np.array(p1))
+
+
+# lengths that fill the last chunk exactly, or leave one step in it or missing
+chunk_edges = st.integers(1, 70).flatmap(
+    lambda c: st.sampled_from([c * c - 1, c * c, c * c + 1, c * (c + 1), c * (c + 1) + 1]))
+lengths = st.one_of(st.integers(0, 5000), chunk_edges.filter(lambda n: n <= 5000))
+
+
+def _draw(fn, source, n, seed, init):
+    rng = np.random.default_rng(seed)
+    try:
+        out = fn(source, n, rng, init)
+    except ReducibleChainError:
+        out = None
+    return out, rng.bit_generator.state
+
+
+@settings(max_examples=300, deadline=None)
+@given(source=markov_sources(), n=lengths, seed=st.integers(0, 2 ** 32 - 1),
+       init=st.one_of(st.sampled_from(["zeros", "stationary"]), st.integers(0, 15)))
+def test_chunked_sample_matches_loop(source, n, seed, init):
+    if not isinstance(init, str):
+        init %= source.num_histories
+    got, got_state = _draw(MarkovSource.sample, source, n, seed, init)
+    want, want_state = _draw(loop_sample, source, n, seed, init)
+    assert got_state == want_state
+    if want is None:
+        assert got is None
+    else:
+        assert got.dtype == np.int8 and got.shape == (n,)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 100, 101, 10_007, 100_000])
+@pytest.mark.parametrize("order", [1, 3])
+def test_chunked_sample_matches_loop_long(n, order):
+    rng = np.random.default_rng(order)
+    source = MarkovSource(order, rng.random(1 << order))
+    a, b = np.random.default_rng(n), np.random.default_rng(n)
+    assert np.array_equal(source.sample(n, a, init="stationary"),
+                          loop_sample(source, n, b, init="stationary"))
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_empty_sample():
+    x = MarkovSource.uniform(2).sample(0, np.random.default_rng(0))
+    assert x.dtype == np.int8 and x.shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# Batched MBC rows vs the row-by-row oracle
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("source, W, N", [
+    (maxentropic_source(1), 36, 60),
+    (maxentropic_source(2), 36, 60),
+    (maxentropic_source(3), 36, 20),
+    (MarkovSource(2, np.array([0.3, 0.9, 0.1, 0.6])), 10, 4),
+])
+def test_batched_mbc_matches_row_oracle(source, W, N):
+    for seed in range(8):
+        want, _ = loop_gen_mbc(source, W, N, seed)
+        assert np.array_equal(gen_mbc(source, W, N, seed).matrix, want)
+
+
+def test_batched_mbc_resamples_duplicates_like_oracle():
+    source = MarkovSource(1, np.array([0.05, 0.5]))   # mostly zeros: many repeats
+    for seed in range(8):
+        want, drawn = loop_gen_mbc(source, 36, 8, seed)
+        assert drawn > 36
+        assert np.array_equal(gen_mbc(source, 36, 8, seed).matrix, want)
+
+
+def test_batched_mbc_exhausts_budget_like_oracle():
+    # length-3 rows of the L=3 run-length source: only 000, 100, 010, 001 exist
+    source = maxentropic_source(3)
+    with pytest.raises(ValueError) as want:
+        loop_gen_mbc(source, 5, 3, seed=0)
+    with pytest.raises(ValueError) as got:
+        gen_mbc(source, 5, 3, seed=0)
+    assert str(got.value) == str(want.value)
