@@ -102,7 +102,7 @@ class ChannelSpec:
 def as_bits(x) -> np.ndarray:
     """Validate a 0/1 sequence (or stack of sequences) and return it as int8."""
     arr = np.asarray(x)
-    if arr.size and not np.isin(arr, (0, 1)).all():
+    if arr.size and not ((arr == 0) | (arr == 1)).all():
         raise ValueError("binary sequence entries must be exactly 0 or 1")
     return arr.astype(np.int8)
 

@@ -12,8 +12,6 @@ from .channel import (AwgnNoise, BinarySymmetric, ChannelSpec, ChannelState, GRO
 from .codebooks import Codebook, gen_mbc
 from .rates import maxentropic_source
 
-LOG_HALF = float(np.log2(0.5))
-
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion (z = 1.96), within [0, 1]."""
@@ -34,20 +32,34 @@ def response_matrix(book: Codebook, channel: ChannelSpec,
 
 
 def _log_likelihoods(Y: np.ndarray, Z: np.ndarray, noise) -> np.ndarray:
-    """Per-row log-likelihood scores, shape (batch, W). Constants dropped for AWGN."""
+    """Per-row log-likelihood scores, shape (batch, W), up to a term equal across rows.
+
+    Each distinct gate response is scored once, by one product ``Y @ Zu.T``,
+    and the scores are gathered back to the rows, so rows with the same
+    response (refractory twins) get bit-identical scores and ties go to the
+    lowest index. AWGN drops ``-|y|^2 / 2 sigma^2``; the binary laws score the
+    Hamming distance ``d = |y| + |z| - 2 y.z`` (exact in float64) and drop
+    ``N log2(1 - eps)``.
+    """
+    Zu, inv = np.unique(Z, axis=0, return_inverse=True)
+    Zu = Zu.astype(np.float64)
+    Y = Y.astype(np.float64, copy=False)
+    dot = Y @ Zu.T
     if isinstance(noise, AwgnNoise):
-        diff = Y[:, None, :] - Z[None, :, :].astype(np.float64)
-        return -np.einsum("bwn,bwn->bw", diff, diff) / (2.0 * noise.variance)
-    d = (Y[:, None, :] != Z[None, :, :]).sum(axis=2)
-    if isinstance(noise, Noiseless):
-        return np.where(d == 0, 0.0, -np.inf)
-    eps = noise.crossover
-    if eps == 0.0:
-        return np.where(d == 0, 0.0, -np.inf)
-    if eps == 0.5:
-        return np.full(d.shape, LOG_HALF * Y.shape[1])
-    n = Y.shape[1]
-    return d * np.log2(eps) + (n - d) * np.log2(1.0 - eps)
+        score = (dot - 0.5 * Zu.sum(axis=1)) / noise.variance   # |z|^2 = |z| for bits
+    else:
+        d = Y.sum(axis=1)[:, None] + Zu.sum(axis=1) - 2.0 * dot
+        eps = 0.0 if isinstance(noise, Noiseless) else noise.crossover
+        if eps == 0.0:
+            score = np.where(d == 0, 0.0, -np.inf)
+        else:
+            score = d * (np.log2(eps) - np.log2(1.0 - eps))
+    return score[:, inv]
+
+
+def _decode(Y: np.ndarray, Z: np.ndarray, noise) -> np.ndarray:
+    """MAP character of each observation row; ties go to the lowest index."""
+    return np.argmax(_log_likelihoods(Y, Z, noise), axis=1)
 
 
 def map_decode(y, book: Codebook, channel: ChannelSpec,
@@ -57,8 +69,7 @@ def map_decode(y, book: Codebook, channel: ChannelSpec,
     if y.ndim != 1 or y.shape[0] != book.num_trials:
         raise ValueError(f"observation length {y.shape} does not match N={book.num_trials}")
     Z = response_matrix(book, channel, s0)
-    scores = _log_likelihoods(y[None, :].astype(np.float64, copy=False), Z, channel.noise)
-    return int(np.argmax(scores[0]))
+    return int(_decode(y[None, :], Z, channel.noise)[0])
 
 
 @dataclass(frozen=True)
@@ -107,42 +118,37 @@ def _noise_summary(noise) -> dict:
     return {"kind": "noiseless"}
 
 
-def _decode_batch(Y: np.ndarray, Z: np.ndarray, noise, chunk: int = 2048) -> np.ndarray:
-    out = np.empty(Y.shape[0], dtype=np.int64)
-    for lo in range(0, Y.shape[0], chunk):
-        scores = _log_likelihoods(Y[lo:lo + chunk], Z, noise)
-        out[lo:lo + chunk] = np.argmax(scores, axis=1)
-    return out
+_BLOCK = 4096   # runs per noise draw and decode; the report does not depend on it
 
 
 def run_experiment(cfg: SimConfig) -> SimReport:
     """Spell ``runs`` uniformly drawn targets and score the MAP decoder.
 
-    Every run draws its target and noise from its own spawned seed.
+    One generator, ``default_rng(SeedSequence(seed))``, drives the whole
+    experiment. It first draws every target with one ``integers(W, size=runs)``
+    call, then the noise of run 0, run 1, ... in turn: N normals (AWGN) or N
+    uniforms (BSC) per run, none for the noiseless channel. The runs are
+    transmitted and decoded in blocks of rows, and since the generator yields
+    the same values however a draw is split, the blocking does not change
+    the report.
     """
     book, channel = cfg.codebook, cfg.channel
     if cfg.s0.level > channel.refractory_len:
         raise ValueError(f"state R_{cfg.s0.level} does not exist for L={channel.refractory_len}")
     W, N = book.num_chars, book.num_trials
     Z = response_matrix(book, channel, cfg.s0)
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.runs)
-
-    targets = np.empty(cfg.runs, dtype=np.int64)
-    is_awgn = isinstance(channel.noise, AwgnNoise)
-    Y = np.empty((cfg.runs, N), dtype=np.float64 if is_awgn else np.int8)
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        t = int(rng.integers(W))
-        targets[i] = t
-        Y[i] = apply_noise(Z[t], channel.noise, rng)
-    decoded = _decode_batch(Y, Z, channel.noise)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    targets = rng.integers(W, size=cfg.runs)
+    decoded = np.empty(cfg.runs, dtype=np.int64)
+    for lo in range(0, cfg.runs, _BLOCK):
+        Y = apply_noise(Z[targets[lo:lo + _BLOCK]], channel.noise, rng)
+        decoded[lo:lo + _BLOCK] = _decode(Y, Z, channel.noise)
 
     correct = int(np.sum(decoded == targets))
     accuracy = correct / cfg.runs
     confusion = None
     if cfg.track_confusion:
-        confusion = np.zeros((W, W), dtype=np.int64)
-        np.add.at(confusion, (targets, decoded), 1)
+        confusion = np.bincount(targets * W + decoded, minlength=W * W).reshape(W, W)
     config = {
         "W": W,
         "N": N,

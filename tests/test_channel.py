@@ -8,6 +8,7 @@ from scipy.sparse.csgraph import connected_components
 from p300channel import (AwgnNoise, BinarySymmetric, ChannelSpec, ChannelState, GROUND,
                          Noiseless, apply_noise, build_trellis, fsm_response, fsm_run,
                          fsm_step, refractory)
+from p300channel.channel import as_bits
 
 
 class TestFsmStep:
@@ -113,6 +114,30 @@ class TestRllProperty:
             ones = np.flatnonzero(z)
             if ones.size > 1:
                 assert np.diff(ones).min() >= L + 1
+
+
+class TestAsBits:
+    @pytest.mark.parametrize("x", [
+        [True, False, True],
+        np.array([[0, 1], [1, 0]], dtype=np.int64),
+        np.array([1, 0, 1], dtype=np.uint8),
+        [0.0, 1.0, -0.0],
+        np.array([1.0, 0.0], dtype=np.float32),
+        1,
+        [],
+    ])
+    def test_accepts_zero_one(self, x):
+        out = as_bits(x)
+        assert out.dtype == np.int8
+        assert np.array_equal(out, np.asarray(x, dtype=np.float64))
+
+    @pytest.mark.parametrize("x", [
+        [0, 2], [1, -1], [0.5, 1.0], [0.0, np.nan], [np.inf], 2,
+        np.array([255], dtype=np.uint8), [True, 3],
+    ])
+    def test_rejects_everything_else(self, x):
+        with pytest.raises(ValueError, match="must be exactly 0 or 1"):
+            as_bits(x)
 
 
 class TestApplyNoise:
