@@ -147,26 +147,27 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
+# Codebook kind -> its generator called with the options genbook and sweep share.
+# The lambdas look each generator up in this module's globals when called, so a
+# wrapper installed there later (a tracer, a test double) is the one that runs.
+BOOK_KINDS = {
+    "mbc": lambda a, seed: gen_mbc(maxentropic_source(a.L), a.W, a.N, seed),
+    "rcp": lambda a, seed: gen_rcp(a.W, a.N, seed),
+    "cbp": lambda a, seed: gen_cbp(a.N, a.gap, seed),
+    "mindist": lambda a, seed: gen_min_dist(a.W, a.N, a.weight, a.trials, seed),
+}
+
+
 def cmd_genbook(args) -> int:
     seed = _resolve_seed(args.seed)
-    if args.kind == "mbc":
-        if args.source is not None:
-            source = load_source(args.source)
-        elif args.L is not None:
-            source = maxentropic_source(args.L)
-        else:
-            raise ValueError("genbook --kind mbc needs --L or --source")
-        book = gen_mbc(source, args.W, args.N, seed)
-    elif args.kind == "rcp":
-        book = gen_rcp(args.W, args.N, seed)
-    elif args.kind == "cbp":
-        if args.W != 36:
-            raise ValueError("the checkerboard construction is specific to the 6x6 grid (W=36)")
-        book = gen_cbp(args.N, args.gap, seed)
-    elif args.kind == "mindist":
-        book = gen_min_dist(args.W, args.N, args.weight, args.trials, seed)
+    if args.kind == "mbc" and args.source is not None:
+        book = gen_mbc(load_source(args.source), args.W, args.N, seed)
     else:
-        raise ValueError(f"unknown codebook kind {args.kind!r}")
+        if args.kind == "mbc" and args.L is None:
+            raise ValueError("genbook --kind mbc needs --L or --source")
+        if args.kind == "cbp" and args.W != 36:
+            raise ValueError("the checkerboard construction is specific to the 6x6 grid (W=36)")
+        book = BOOK_KINDS[args.kind](args, seed)
 
     out = _out_path(args.out, f"codebook_{args.kind}.csv")
     if out is None:
@@ -202,17 +203,10 @@ def cmd_sweep(args) -> int:
         kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
         books = {}
         for kind_idx, kind in enumerate(sorted(kinds)):
-            bseed = int(np.random.SeedSequence([seed, kind_idx]).generate_state(1)[0])
-            if kind == "mbc":
-                books[kind] = gen_mbc(maxentropic_source(args.L), args.W, args.N, bseed)
-            elif kind == "rcp":
-                books[kind] = gen_rcp(args.W, args.N, bseed)
-            elif kind == "cbp":
-                books[kind] = gen_cbp(args.N, args.gap, bseed)
-            elif kind == "mindist":
-                books[kind] = gen_min_dist(args.W, args.N, args.weight, args.trials, bseed)
-            else:
+            if kind not in BOOK_KINDS:
                 raise ValueError(f"unknown codebook kind {kind!r}")
+            bseed = int(np.random.SeedSequence([seed, kind_idx]).generate_state(1)[0])
+            books[kind] = BOOK_KINDS[kind](args, bseed)
         rows = sweep_awgn(books, args.L, grid, runs=args.runs, seed=seed)
     else:
         grid = [int(v) for v in args.L_grid.split(",") if v]
@@ -269,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("genbook", parents=[common], help="generate a codebook CSV")
-    p.add_argument("--kind", choices=("mbc", "rcp", "cbp", "mindist"), required=True)
+    p.add_argument("--kind", choices=tuple(BOOK_KINDS), required=True)
     p.add_argument("--W", type=int, default=36)
     p.add_argument("--N", type=int, default=60)
     p.add_argument("--L", type=int, default=None, help="mbc: use the rate-optimal source for this L")

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channel import as_bits
 from .sources import MarkovSource, stationary_distribution
 
 
@@ -45,11 +46,11 @@ class Codebook:
         m = np.asarray(self.matrix)
         if m.ndim != 2:
             raise ValueError(f"codebook matrix must be 2-D, got shape {m.shape}")
-        if m.size and not np.isin(m, (0, 1)).all():
+        if not ((m == 0) | (m == 1)).all():
             raise ValueError("codebook entries must be 0 or 1")
         m = m.astype(np.int8)
         object.__setattr__(self, "matrix", m)
-        if len({tuple(row) for row in m}) != m.shape[0]:
+        if not _rows_distinct(m):
             warnings.warn(f"codebook ({self.kind}) contains duplicate rows")
 
     @property
@@ -62,7 +63,8 @@ class Codebook:
 
 
 def _rows_distinct(matrix: np.ndarray) -> bool:
-    return len({tuple(row) for row in matrix}) == matrix.shape[0]
+    """True when no two rows are equal (rows compared by their bytes, so one dtype)."""
+    return len({row.tobytes() for row in matrix}) == matrix.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -188,38 +190,82 @@ def gen_cbp(N: int = 60, min_gap: int = 3, seed: int = 0) -> Codebook:
 # Max-min-Hamming-distance baseline
 # ---------------------------------------------------------------------------
 
+def _min_distances(books: np.ndarray) -> np.ndarray:
+    """Minimum row-pair Hamming distance of each 0/1 book in a (T, W >= 2, N) stack.
+
+    One stacked Gram product gives every pair at once: d(x, y) = |x| + |y| - 2 x.y.
+    The terms are integers at most 2N, exact in float32 while N < 2**24.
+    """
+    T, W, N = books.shape
+    B = books.astype(np.float32 if N < 2**24 else np.float64)
+    norms = B.sum(axis=2)
+    d = B @ B.transpose(0, 2, 1)
+    d *= -2
+    d += norms[:, :, None]
+    d += norms[:, None, :]
+    d[:, range(W), range(W)] = np.inf
+    return d.min(axis=(1, 2)).astype(np.int64)
+
+
 def min_hamming_distance(matrix: np.ndarray) -> int:
-    """Minimum pairwise Hamming distance between rows."""
-    m = np.asarray(matrix, dtype=np.int16)
+    """Minimum pairwise Hamming distance between the rows of a 0/1 matrix."""
+    m = as_bits(matrix)
+    if m.ndim != 2:
+        raise ValueError(f"need a 2-D matrix, got shape {m.shape}")
     if m.shape[0] < 2:
         raise ValueError("need at least two rows")
-    best = m.shape[1] + 1
-    for i in range(m.shape[0] - 1):
-        d = np.abs(m[i + 1:] - m[i]).sum(axis=1).min()
-        best = min(best, int(d))
-    return best
+    return int(_min_distances(m[None])[0])
 
 
-def _random_constant_weight(W: int, N: int, weight: int, rng: np.random.Generator):
-    rows: set[tuple] = set()
-    guard = 200 * W
-    while len(rows) < W:
-        if guard == 0:
-            raise ValueError(f"cannot draw {W} distinct weight-{weight} rows of length {N}")
-        guard -= 1
-        row = np.zeros(N, dtype=np.int8)
-        row[rng.choice(N, size=weight, replace=False)] = 1
-        rows.add(tuple(row))
-    return np.array(sorted(rows), dtype=np.int8)[rng.permutation(W)]
+def _constant_weight_rows(rng: np.random.Generator, rows: int, N: int,
+                          weight: int) -> np.ndarray:
+    """``rows`` uniform weight-``weight`` words of length N from one (rows, N) uniform block.
+
+    Each row's support is the positions of its ``weight`` smallest uniforms.
+    """
+    U = rng.random((rows, N))
+    words = np.zeros((rows, N), dtype=np.int8)
+    support = np.argpartition(U, max(weight - 1, 0), axis=1)[:, :weight]
+    np.put_along_axis(words, support, 1, axis=1)
+    return words
+
+
+def _redraw_duplicates(book: np.ndarray, rng: np.random.Generator, weight: int,
+                       budget: int) -> None:
+    """Redraw in place, in row order, each row equal to an earlier one.
+
+    Row i is redrawn until it differs from rows 0..i-1, so the rows are a uniform
+    ordered draw of distinct words; ``budget`` bounds the redraws.
+    """
+    W, N = book.shape
+    seen: set[bytes] = set()
+    for row in book:
+        while row.tobytes() in seen:
+            if budget == 0:
+                raise ValueError(
+                    f"cannot draw {W} distinct weight-{weight} rows of length {N}")
+            budget -= 1
+            row[:] = _constant_weight_rows(rng, 1, N, weight)[0]
+        seen.add(row.tobytes())
 
 
 def gen_min_dist(W: int, N: int, weight: int = 10, trials: int = 50,
                  seed: int = 0) -> Codebook:
     """Best-of-``trials`` random constant-weight codebook by min pairwise distance.
 
-    Nested seed streams (one child per trial) make the achieved distance
-    monotone in ``trials`` for a fixed seed.
+    Trial t owns child t of ``SeedSequence([seed, W, N, weight]).spawn(trials)``:
+    it draws one (W, N) uniform block whose rows become uniform weight-``weight``
+    words, and then, only if two rows coincide, redraws the later duplicates in
+    row order from the same child. At most 200 W rows are drawn per trial. All
+    trials are scored by one stacked Gram product and the first trial with the
+    largest minimum distance wins. A trial depends only on its own child, so
+    for a fixed seed the achieved distance is monotone in ``trials``. Block
+    draws keep a trial to a few array operations; they give other books for a
+    seed than the earlier row-by-row ``Generator.choice`` draws, with the same
+    law (uniform distinct constant-weight rows, best of ``trials``).
     """
+    if W < 1 or N < 1:
+        raise ValueError(f"need W >= 1 and N >= 1, got W={W}, N={N}")
     if weight > N:
         raise ValueError(f"weight {weight} exceeds N={N}")
     if trials < 1:
@@ -227,14 +273,19 @@ def gen_min_dist(W: int, N: int, weight: int = 10, trials: int = 50,
     from math import comb
     if W > comb(N, weight):
         raise ValueError(f"only {comb(N, weight)} weight-{weight} words exist; W={W}")
-    children = np.random.SeedSequence([seed, W, N, weight]).spawn(trials)
-    best_matrix, best_d = None, -1
-    for child in children:
-        candidate = _random_constant_weight(W, N, weight, np.random.default_rng(child))
-        d = min_hamming_distance(candidate) if W > 1 else N
-        if d > best_d:
-            best_matrix, best_d = candidate, d
-    return Codebook(best_matrix, kind=f"mindist(weight={weight},dist={best_d})", seed=seed)
+    rngs = [np.random.default_rng(child)
+            for child in np.random.SeedSequence([seed, W, N, weight]).spawn(trials)]
+    books = np.stack([_constant_weight_rows(rng, W, N, weight) for rng in rngs])
+    if W == 1:
+        dists = np.full(trials, N)
+    else:
+        dists = _min_distances(books)
+        for t in np.flatnonzero(dists == 0):
+            _redraw_duplicates(books[t], rngs[t], weight, budget=199 * W)
+            dists[t] = _min_distances(books[t:t + 1])[0]
+    best = int(np.argmax(dists))   # the first trial with the largest distance
+    return Codebook(books[best], kind=f"mindist(weight={weight},dist={dists[best]})",
+                    seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +323,25 @@ def import_codebook(path) -> Codebook:
     body = lines[1:]
     if len(body) != W:
         raise ValueError(f"{path}: header says W={W} but found {len(body)} rows")
-    matrix = np.empty((W, N), dtype=np.int8)
-    for i, line in enumerate(body):
-        cells = line.split(",")
-        if len(cells) != N:
-            raise ValueError(f"{path}: row {i} has {len(cells)} entries, expected N={N}")
-        for j, cell in enumerate(cells):
-            if cell not in ("0", "1"):
-                raise ValueError(f"{path}: row {i} entry {cell!r} is not 0/1")
-            matrix[i, j] = int(cell)
-    return Codebook(matrix, kind=kind, seed=seed)
+    # Split every row at once on the UTF-8 bytes; "," and "\n" never occur inside
+    # a multi-byte character, so byte cells are the text's cells.
+    text = "\n".join(body).encode()
+    raw = np.frombuffer(text, dtype=np.uint8)
+    sep = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+    start = np.concatenate(([0], sep + 1))            # cells in row-major order
+    size = np.concatenate((sep, [raw.size])) - start
+    row = np.concatenate(([0], np.cumsum(raw[sep] == ord("\n"))))
+    widths = np.bincount(row, minlength=W)
+    is_bit = size == 1
+    first = raw[start[is_bit]]
+    is_bit[is_bit] = (first == ord("0")) | (first == ord("1"))
+    # the first bad row wins; within a row its length is checked before its cells
+    bad_len, bad_cell = np.flatnonzero(widths != N), np.flatnonzero(~is_bit)
+    i = bad_len[0] if bad_len.size else W
+    if bad_cell.size and row[bad_cell[0]] < i:
+        k = bad_cell[0]
+        cell = text[start[k]:start[k] + size[k]].decode()
+        raise ValueError(f"{path}: row {row[k]} entry {cell!r} is not 0/1")
+    if i < W:
+        raise ValueError(f"{path}: row {i} has {widths[i]} entries, expected N={N}")
+    return Codebook(raw[::2].reshape(W, N) - ord("0"), kind=kind, seed=seed)

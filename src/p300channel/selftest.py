@@ -10,7 +10,7 @@ import numpy as np
 from . import channel as ch
 from . import rates
 from .channel import BinarySymmetric, ChannelSpec, GROUND
-from .codebooks import Codebook
+from .codebooks import Codebook, gen_min_dist
 from .simulate import map_decode
 from .sources import MarkovSource
 
@@ -127,6 +127,23 @@ def _check_decoder_oracle() -> str:
     return "MAP decoder matches exhaustive posterior on all 64 outputs"
 
 
+def _check_min_dist_oracle() -> str:
+    # (6, 4, 2) needs all C(4, 2) words, so every trial repairs duplicate rows
+    for W, N, weight in ((10, 12, 4), (6, 4, 2)):
+        book = gen_min_dist(W, N, weight, trials=20, seed=20243)
+        rows = [tuple(r) for r in book.matrix.tolist()]
+        if len(set(rows)) != W:
+            raise AssertionError(f"duplicate rows in the {W}x{N} book")
+        if any(sum(r) != weight for r in rows):
+            raise AssertionError(f"a row of the {W}x{N} book has weight != {weight}")
+        # independent route: count the differing positions of every pair
+        dist = min(sum(a != b for a, b in zip(x, y))
+                   for x, y in itertools.combinations(rows, 2))
+        if f"dist={dist})" not in book.kind:
+            raise AssertionError(f"label {book.kind} but exhaustive distance {dist}")
+    return "min-distance books: distinct constant-weight rows, label = pairwise count"
+
+
 def _check_invertibility() -> str:
     for L, n in ((1, 10), (2, 10)):
         src = MarkovSource.constrained(L, 0.3)
@@ -147,6 +164,7 @@ CHECKS = (
     ("run-length-limited output", _check_rll_output),
     ("noise reproducibility", _check_noise_reproducibility),
     ("decoder oracle", _check_decoder_oracle),
+    ("min-distance label oracle", _check_min_dist_oracle),
     ("constrained-family invertibility", _check_invertibility),
 )
 

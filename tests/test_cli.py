@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from p300channel import gen_cbp, gen_mbc, gen_min_dist, gen_rcp, maxentropic_source
 from p300channel.cli import main
+from p300channel.codebooks import codebook_csv_text
 
 
 def run_cli(capsys, *argv):
@@ -81,6 +83,38 @@ class TestGenbookSimulate:
 
     def test_mbc_needs_L_or_source(self, capsys):
         assert run_cli(capsys, "genbook", "--kind", "mbc", "--seed", "0")[0] == 3
+
+    def test_cbp_needs_the_6x6_grid(self, capsys):
+        code, _, err = run_cli(capsys, "genbook", "--kind", "cbp", "--W", "35", "--seed", "0")
+        assert code == 3 and "W=36" in err
+
+    @pytest.mark.parametrize("kind, extra, expected", [
+        ("mbc", ["--L", "2"], lambda: gen_mbc(maxentropic_source(2), 12, 36, 3)),
+        ("rcp", [], lambda: gen_rcp(36, 36, 3)),
+        ("cbp", ["--gap", "2"], lambda: gen_cbp(36, 2, 3)),
+        ("mindist", ["--weight", "6", "--trials", "4"], lambda: gen_min_dist(12, 36, 6, 4, 3)),
+    ])
+    def test_genbook_passes_the_options_through(self, capsys, kind, extra, expected):
+        W = "36" if kind in ("rcp", "cbp") else "12"
+        code, out, _ = run_cli(capsys, "genbook", "--kind", kind, "--W", W, "--N", "36",
+                               "--seed", "3", *extra)
+        assert code == 0
+        assert out == codebook_csv_text(expected())
+
+    def test_generators_are_looked_up_when_called(self, capsys, monkeypatch):
+        import p300channel.cli as cli
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return gen_min_dist(*args)
+
+        monkeypatch.setattr(cli, "gen_min_dist", recording)
+        run_cli(capsys, "genbook", "--kind", "mindist", "--N", "30", "--weight", "5",
+                "--trials", "3", "--seed", "1")
+        run_cli(capsys, "sweep", "--sigma2-grid", "1", "--kinds", "mindist", "--N", "30",
+                "--weight", "5", "--trials", "2", "--runs", "10", "--seed", "1")
+        assert [c[:4] for c in calls] == [(36, 30, 5, 3), (36, 30, 5, 2)]
 
     def test_simulate_near_noiseless_is_perfect(self, capsys, tmp_path):
         book = tmp_path / "rcp.csv"
