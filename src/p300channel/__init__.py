@@ -8,8 +8,7 @@ codebooks, and scores them by Monte Carlo spelling simulation.
 """
 
 from .channel import (AwgnNoise, BinarySymmetric, ChannelSpec, ChannelState, GROUND,
-                      Noiseless, TrellisGraph, apply_noise, build_trellis, fsm_response,
-                      fsm_run, fsm_step, refractory)
+                      apply_noise, build_trellis, fsm_response, refractory)
 from .codebooks import (Codebook, GridLayout, export_codebook, gen_cbp, gen_mbc,
                         gen_min_dist, gen_rcp, import_codebook, min_hamming_distance)
 from .gbaa import GbaaConfig, RateEstimate, estimate_rate, gbaa_optimize
@@ -26,8 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AwgnNoise", "BinarySymmetric", "ChannelSpec", "ChannelState", "GROUND",
-    "Noiseless", "TrellisGraph", "apply_noise", "build_trellis", "fsm_response",
-    "fsm_run", "fsm_step", "refractory",
+    "apply_noise", "build_trellis", "fsm_response", "refractory",
     "Codebook", "GridLayout", "export_codebook", "gen_cbp", "gen_mbc",
     "gen_min_dist", "gen_rcp", "import_codebook", "min_hamming_distance",
     "GbaaConfig", "RateEstimate", "estimate_rate", "gbaa_optimize",

@@ -7,7 +7,7 @@ window of ``L`` steps), then a memoryless noise law corrupts the gate output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,10 +30,6 @@ class ChannelState:
         if self.level < 0:
             raise ValueError(f"state level must be >= 0, got {self.level}")
 
-    @property
-    def is_ground(self) -> bool:
-        return self.level == 0
-
 
 GROUND = ChannelState(0)
 
@@ -55,6 +51,23 @@ def refractory(level: int) -> ChannelState:
     return ChannelState(level)
 
 
+def binary_entropy(p: float) -> float:
+    """H_b(p) in bits, with the endpoint values defined as 0 by continuity."""
+    p = float(p)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability must lie in [0, 1], got {p}")
+    if p in (0.0, 1.0):
+        return 0.0
+    return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
+
+
+# A noise law maps gate outputs z to observations y. Each law draws y
+# (``sample``), gives the per-symbol likelihoods p(y_t | z) that the trellis
+# recursions use (``emission``), the closed-form (1/n) E[-log2 p(Y|X)]
+# (``cond_entropy``), its echo in reports (``summary``), and the per-codeword
+# decoder score (``score``): log p(y | z) in the law's own log base, up to a
+# term that is the same for every codeword.
+
 @dataclass(frozen=True)
 class AwgnNoise:
     """Additive white Gaussian noise with power ``variance``."""
@@ -65,10 +78,39 @@ class AwgnNoise:
         if not self.variance > 0:
             raise ValueError(f"AWGN variance must be positive, got {self.variance}")
 
+    def sample(self, z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return z + rng.normal(0.0, np.sqrt(self.variance), z.shape)
+
+    def emission(self, y: np.ndarray) -> np.ndarray:
+        """f[t, z] = p(y_t | Z_t = z) for z in {0, 1}, a density."""
+        f = np.empty((y.shape[0], 2))
+        norm = 1.0 / np.sqrt(2.0 * np.pi * self.variance)
+        inv2v = 0.5 / self.variance
+        f[:, 0] = norm * np.exp(-inv2v * y ** 2)
+        f[:, 1] = norm * np.exp(-inv2v * (y - 1.0) ** 2)
+        return f
+
+    def cond_entropy(self) -> float:
+        return float(0.5 * np.log2(2.0 * np.pi * np.e * self.variance))
+
+    def summary(self) -> dict:
+        return {"kind": "awgn", "sigma2": self.variance}
+
+    def score(self, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        """Natural-log scores of observation rows Y against 0/1 rows Z, (len Y, len Z).
+
+        Drops ``-|y|^2 / 2 sigma^2``, the same for every row of Z.
+        """
+        return (Y @ Z.T - 0.5 * Z.sum(axis=1)) / self.variance   # |z|^2 = |z| for bits
+
 
 @dataclass(frozen=True)
 class BinarySymmetric:
-    """Independent bit flips with probability ``crossover`` in [0, 0.5]."""
+    """Independent bit flips with probability ``crossover`` in [0, 0.5].
+
+    Crossover 0 is the noiseless channel, y = z; it still draws one uniform
+    per symbol, like any other crossover.
+    """
 
     crossover: float
 
@@ -76,13 +118,41 @@ class BinarySymmetric:
         if not 0.0 <= self.crossover <= 0.5:
             raise ValueError(f"crossover must lie in [0, 0.5], got {self.crossover}")
 
+    def sample(self, z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        flips = rng.random(z.shape) < self.crossover
+        return (z ^ flips).astype(np.int8)
 
-@dataclass(frozen=True)
-class Noiseless:
-    """Identity output law: y = z."""
+    def emission(self, y: np.ndarray) -> np.ndarray:
+        """f[t, z] = P(y_t | Z_t = z) for z in {0, 1}."""
+        eps = self.crossover
+        f = np.empty((y.shape[0], 2))
+        f[:, 0] = np.where(y == 0, 1.0 - eps, eps)
+        f[:, 1] = np.where(y == 1, 1.0 - eps, eps)
+        return f
+
+    def cond_entropy(self) -> float:
+        return binary_entropy(self.crossover)
+
+    def summary(self) -> dict:
+        if self.crossover == 0.0:
+            return {"kind": "noiseless"}
+        return {"kind": "bsc", "crossover": self.crossover}
+
+    def score(self, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        """Base-2 log scores of 0/1 observation rows Y against 0/1 rows Z.
+
+        Scores the Hamming distance ``d = |y| + |z| - 2 y.z`` (exact in
+        float64), so rows at equal distance tie exactly, and drops
+        ``N log2(1 - eps)``; at crossover 0 a row scores 0 if y = z, else -inf.
+        """
+        d = Y.sum(axis=1)[:, None] + Z.sum(axis=1) - 2.0 * (Y @ Z.T)
+        eps = self.crossover
+        if eps == 0.0:
+            return np.where(d == 0, 0.0, -np.inf)
+        return d * (np.log2(eps) - np.log2(1.0 - eps))
 
 
-NoiseLaw = AwgnNoise | BinarySymmetric | Noiseless
+NoiseLaw = AwgnNoise | BinarySymmetric
 
 
 @dataclass(frozen=True)
@@ -90,12 +160,12 @@ class ChannelSpec:
     """Refractory length plus the memoryless noise law applied to the gate output."""
 
     refractory_len: int
-    noise: NoiseLaw = field(default_factory=Noiseless)
+    noise: NoiseLaw = BinarySymmetric(0.0)
 
     def __post_init__(self):
         if self.refractory_len < 0:
             raise ValueError(f"refractory_len must be >= 0, got {self.refractory_len}")
-        if not isinstance(self.noise, (AwgnNoise, BinarySymmetric, Noiseless)):
+        if not isinstance(self.noise, (AwgnNoise, BinarySymmetric)):
             raise TypeError(f"unknown noise law: {self.noise!r}")
 
 
@@ -110,47 +180,6 @@ def as_bits(x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # The gate FSM
 # ---------------------------------------------------------------------------
-
-def fsm_step(state: ChannelState, x: int, L: int) -> tuple[ChannelState, int]:
-    """Advance the gate one step.
-
-    An input 1 always lands in R_1 and produces output 1 only from ground.
-    On input 0, ground and R_L return to ground while R_l advances to R_{l+1}.
-    For L = 0 the machine is stateless and z = x.
-    """
-    if L < 0:
-        raise ValueError(f"L must be >= 0, got {L}")
-    if state.level > L:
-        raise ValueError(f"state R_{state.level} does not exist for L={L}")
-    if x not in (0, 1):
-        raise ValueError(f"input must be 0 or 1, got {x!r}")
-    if L == 0:
-        return GROUND, x
-    if x == 1:
-        return ChannelState(1), 1 if state.is_ground else 0
-    if state.is_ground or state.level == L:
-        return GROUND, 0
-    return ChannelState(state.level + 1), 0
-
-
-def fsm_run(x, s0: ChannelState, L: int) -> tuple[np.ndarray, list[ChannelState]]:
-    """Fold :func:`fsm_step` over an input sequence.
-
-    Returns the gate output ``z`` (same length as ``x``) and the visited
-    states S_1..S_n.
-    """
-    bits = as_bits(x)
-    if bits.ndim != 1:
-        raise ValueError("fsm_run expects a 1-D bit sequence")
-    z = np.empty(bits.size, dtype=np.int8)
-    states: list[ChannelState] = []
-    s = s0
-    for i, b in enumerate(bits):
-        s, zi = fsm_step(s, int(b), L)
-        z[i] = zi
-        states.append(s)
-    return z, states
-
 
 def fsm_response(x, L: int, s0: ChannelState = GROUND) -> np.ndarray:
     """Vectorized closed form of the gate output.
@@ -188,18 +217,10 @@ def fsm_response(x, L: int, s0: ChannelState = GROUND) -> np.ndarray:
 def apply_noise(z, noise: NoiseLaw, rng: np.random.Generator) -> np.ndarray:
     """Pass a gate-output sequence through the memoryless noise law.
 
-    AWGN returns reals y = z + g with g ~ N(0, variance); the binary laws
-    return bits. Identical generator state gives identical output.
+    AWGN returns reals y = z + g with g ~ N(0, variance); the BSC returns
+    bits. Identical generator state gives identical output.
     """
-    bits = as_bits(z)
-    if isinstance(noise, Noiseless):
-        return bits.copy()
-    if isinstance(noise, BinarySymmetric):
-        flips = rng.random(bits.shape) < noise.crossover
-        return (bits ^ flips).astype(np.int8)
-    if isinstance(noise, AwgnNoise):
-        return bits + rng.normal(0.0, np.sqrt(noise.variance), bits.shape)
-    raise TypeError(f"unknown noise law: {noise!r}")
+    return noise.sample(as_bits(z), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -207,49 +228,43 @@ def apply_noise(z, noise: NoiseLaw, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class TrellisGraph:
-    """Deterministic graph on the last max(r, L) inputs.
+class Trellis:
+    """Deterministic graph on the last m = max(r, L) inputs, as edge arrays.
 
     State integers encode the history window with the most recent bit in the
-    least significant position. Each state has exactly two outgoing edges
-    (input 0 / input 1); the z label of an edge is 1 iff its input is 1 and
-    the L most recent history bits are all zero.
+    least significant position. Edge ``2s + x`` leaves state ``s`` on input
+    ``x``; its z label is 1 iff ``x`` is 1 and the L most recent history bits
+    are all zero. Every state has exactly two in-edges and two out-edges:
+    ``in_edges[j]`` are the edges into ``j`` (ascending) and ``out_edges[s]``
+    the edges out of ``s``.
     """
 
     memory: int
-    next_state: np.ndarray   # (2**memory, 2) int
-    z_out: np.ndarray        # (2**memory, 2) int8
+    edge_from: np.ndarray    # (2S,) int
+    edge_input: np.ndarray   # (2S,) int
+    edge_to: np.ndarray      # (2S,) int
+    edge_z: np.ndarray       # (2S,) int
+    in_edges: np.ndarray     # (S, 2) int
+    out_edges: np.ndarray    # (S, 2) int
 
     @property
     def num_states(self) -> int:
         return 1 << self.memory
 
-    def response(self, x, start: int = 0) -> np.ndarray:
-        """Walk the trellis from history ``start`` and return the z labels."""
-        bits = as_bits(x)
-        z = np.empty(bits.size, dtype=np.int8)
-        s = start
-        for i, b in enumerate(bits):
-            z[i] = self.z_out[s, b]
-            s = int(self.next_state[s, b])
-        return z
 
-
-def build_trellis(r: int, L: int) -> TrellisGraph:
+def build_trellis(r: int, L: int) -> Trellis:
     """Joint source/channel trellis over m = max(r, L) input-history bits."""
     if r < 1:
         raise ValueError(f"source order r must be >= 1, got {r}")
     if L < 0:
         raise ValueError(f"L must be >= 0, got {L}")
     m = max(r, L)
-    size = 1 << m
-    mask = size - 1
-    lmask = (1 << L) - 1
-    states = np.arange(size)
-    next_state = np.empty((size, 2), dtype=np.int64)
-    z_out = np.zeros((size, 2), dtype=np.int8)
-    for x in (0, 1):
-        next_state[:, x] = ((states << 1) | x) & mask
+    S = 1 << m
+    edge_from = np.repeat(np.arange(S), 2)
+    edge_input = np.tile(np.array([0, 1]), S)
+    edge_to = ((edge_from << 1) | edge_input) & (S - 1)
     # z = 1 only on input 1 out of a history whose last L bits are clear
-    z_out[:, 1] = (states & lmask) == 0
-    return TrellisGraph(memory=m, next_state=next_state, z_out=z_out)
+    edge_z = edge_input & ((edge_from & ((1 << L) - 1)) == 0)
+    return Trellis(memory=m, edge_from=edge_from, edge_input=edge_input, edge_to=edge_to,
+                   edge_z=edge_z, in_edges=np.argsort(edge_to, kind="stable").reshape(S, 2),
+                   out_edges=np.arange(2 * S).reshape(S, 2))

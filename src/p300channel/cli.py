@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import AwgnNoise, BinarySymmetric, ChannelSpec, Noiseless
+from .channel import AwgnNoise, BinarySymmetric, ChannelSpec, NoiseLaw
 from .codebooks import (codebook_csv_text, export_codebook, gen_cbp, gen_mbc,
                         gen_min_dist, gen_rcp, import_codebook)
 from .gbaa import GbaaConfig, gbaa_optimize
@@ -78,7 +78,7 @@ def _emit_payload(payload: dict, args) -> None:
     _emit(text, _out_path(args.out))
 
 
-def _noise_from_args(args) -> AwgnNoise | BinarySymmetric | Noiseless:
+def _noise_from_args(args) -> NoiseLaw:
     sigma2 = getattr(args, "sigma2", None)
     eps = getattr(args, "eps", None)
     if sigma2 is not None and eps is not None:
@@ -87,7 +87,7 @@ def _noise_from_args(args) -> AwgnNoise | BinarySymmetric | Noiseless:
         return AwgnNoise(sigma2)
     if eps is not None:
         return BinarySymmetric(eps)
-    return Noiseless()
+    return BinarySymmetric(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +115,7 @@ def cmd_rate(args) -> int:
 def cmd_optimize(args) -> int:
     seed = _resolve_seed(args.seed)
     noise = _noise_from_args(args)
-    if isinstance(noise, Noiseless):
+    if args.sigma2 is None and args.eps is None:
         raise ValueError("optimize needs a noise law: --sigma2 or --eps")
     channel = ChannelSpec(args.L, noise)
     order = args.order if args.order is not None else max(args.L, 1)
@@ -133,7 +133,7 @@ def cmd_optimize(args) -> int:
     payload = {
         "L": args.L,
         "order": order,
-        "noise": "awgn" if isinstance(noise, AwgnNoise) else "bsc",
+        "noise": noise.summary()["kind"],
         "rate": best.rate,
         "std_err": best.std_err,
         "final_rate": trace[-1],

@@ -26,11 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (AwgnNoise, BinarySymmetric, ChannelSpec, ChannelState, GROUND,
-                      Noiseless, NoiseLaw, build_trellis, fsm_response, apply_noise,
-                      state_history)
-from .rates import ConvergenceError, binary_entropy, perron_pair
-from .sources import MarkovSource, _chunk_len, recurrent_classes
+from .channel import (ChannelSpec, ChannelState, GROUND, Trellis, build_trellis, fsm_response,
+                      apply_noise, state_history)
+from .rates import ConvergenceError, perron_pair
+from .sources import MarkovSource, _chunk_len, stationary_distribution
 
 
 @dataclass(frozen=True)
@@ -61,66 +60,10 @@ class GbaaConfig:
             raise ValueError(f"rate_tol must be positive, got {self.rate_tol}")
 
 
-def conditional_entropy_per_symbol(noise: NoiseLaw) -> float:
-    """Closed-form (1/n) E[-log2 p(Y|X)]: differential entropy for AWGN, H_b for BSC."""
-    if isinstance(noise, Noiseless):
-        return 0.0
-    if isinstance(noise, BinarySymmetric):
-        return binary_entropy(noise.crossover)
-    if isinstance(noise, AwgnNoise):
-        return float(0.5 * np.log2(2.0 * np.pi * np.e * noise.variance))
-    raise TypeError(f"unknown noise law: {noise!r}")
-
-
-def _emission_table(y: np.ndarray, noise: NoiseLaw) -> np.ndarray:
-    """f[t, z] = p(y_t | Z_t = z) for z in {0, 1} (a density for AWGN)."""
-    n = y.shape[0]
-    f = np.empty((n, 2))
-    if isinstance(noise, Noiseless):
-        f[:, 0] = y == 0
-        f[:, 1] = y == 1
-    elif isinstance(noise, BinarySymmetric):
-        eps = noise.crossover
-        f[:, 0] = np.where(y == 0, 1.0 - eps, eps)
-        f[:, 1] = np.where(y == 1, 1.0 - eps, eps)
-    elif isinstance(noise, AwgnNoise):
-        norm = 1.0 / np.sqrt(2.0 * np.pi * noise.variance)
-        inv2v = 0.5 / noise.variance
-        f[:, 0] = norm * np.exp(-inv2v * y ** 2)
-        f[:, 1] = norm * np.exp(-inv2v * (y - 1.0) ** 2)
-    else:
-        raise TypeError(f"unknown noise law: {noise!r}")
-    return f
-
-
-class _JointTrellis:
-    """Edge-array view of the joint trellis for one source/channel pair.
-
-    Edge ``2s + x`` leaves state ``s`` on input ``x``. Every state also has
-    exactly two in-edges, so both recursions can be laid out as (S, 2) edge
-    arrays: ``in_edges[j]`` are the edges into ``j`` (ascending) and
-    ``out_edges[s]`` the edges out of ``s``.
-    """
-
-    def __init__(self, source: MarkovSource, channel: ChannelSpec):
-        trellis = build_trellis(source.order, channel.refractory_len)
-        S = trellis.num_states
-        states = np.repeat(np.arange(S), 2)
-        inputs = np.tile(np.array([0, 1]), S)
-        self.memory = trellis.memory
-        self.num_states = S
-        self.edge_from = states
-        self.edge_input = inputs
-        self.edge_to = trellis.next_state[states, inputs]
-        self.edge_z = trellis.z_out[states, inputs].astype(np.int64)
-        self.in_edges = np.argsort(self.edge_to, kind="stable").reshape(S, 2)
-        self.out_edges = np.arange(2 * S).reshape(S, 2)
-        self.set_source(source)
-
-    def set_source(self, source: MarkovSource):
-        rmask = source.num_histories - 1
-        p1 = source.p1[self.edge_from & rmask]
-        self.edge_prob = np.where(self.edge_input == 1, p1, 1.0 - p1)
+def _edge_prob(trellis: Trellis, source: MarkovSource) -> np.ndarray:
+    """P(input of edge e | history of its start state) under ``source``."""
+    p1 = source.p1[trellis.edge_from & (source.num_histories - 1)]
+    return np.where(trellis.edge_input == 1, p1, 1.0 - p1)
 
 
 def _chunked_scan(f: np.ndarray, v0: np.ndarray, gather: np.ndarray, prob: np.ndarray,
@@ -190,17 +133,18 @@ def _first_collapse(scale: np.ndarray) -> int | None:
     return int(bad[0]) if bad.size else None
 
 
-def _scaled_forward(jt: _JointTrellis, f: np.ndarray, h0: int = 0, keep_alphas: bool = True):
+def _scaled_forward(trellis: Trellis, prob: np.ndarray, f: np.ndarray, h0: int = 0,
+                    keep_alphas: bool = True):
     """Normalized forward recursion by the chunked scan of :func:`_chunked_scan`.
 
     alpha_{t+1}[j] ∝ sum over the edges e into j of alpha_t[from(e)] p_e f[t, z_e].
     Returns (alphas, per-step log2 scale factors); alphas is None unless
     ``keep_alphas``, so a rate estimate holds no (n+1, S) table.
     """
-    v0 = np.zeros(jt.num_states)
+    v0 = np.zeros(trellis.num_states)
     v0[h0] = 1.0
-    e = jt.in_edges
-    alphas, c = _chunked_scan(f, v0, jt.edge_from[e], jt.edge_prob[e], jt.edge_z[e],
+    e = trellis.in_edges
+    alphas, c = _chunked_scan(f, v0, trellis.edge_from[e], prob[e], trellis.edge_z[e],
                               keep_alphas)
     t = _first_collapse(c)
     if t is not None:
@@ -208,29 +152,21 @@ def _scaled_forward(jt: _JointTrellis, f: np.ndarray, h0: int = 0, keep_alphas: 
     return alphas, np.log2(c)
 
 
-def _scaled_backward(jt: _JointTrellis, f: np.ndarray) -> np.ndarray:
+def _scaled_backward(trellis: Trellis, prob: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Normalized backward recursion: the chunked scan run on reversed time.
 
     beta_t[s] ∝ sum over the edges e out of s of beta_{t+1}[to(e)] p_e f[t, z_e],
     from the uniform beta_n.
     """
     n = f.shape[0]
-    S = jt.num_states
-    e = jt.out_edges
-    rev, c = _chunked_scan(f[::-1], np.full(S, 1.0 / S), jt.edge_to[e], jt.edge_prob[e],
-                           jt.edge_z[e], keep=True)
+    S = trellis.num_states
+    e = trellis.out_edges
+    rev, c = _chunked_scan(f[::-1], np.full(S, 1.0 / S), trellis.edge_to[e], prob[e],
+                           trellis.edge_z[e], keep=True)
     t = _first_collapse(c)
     if t is not None:
         raise ConvergenceError(f"backward recursion collapsed at step {n - 1 - t}")
     return rev[::-1]
-
-
-def _check_single_recurrent_class(source: MarkovSource):
-    classes = recurrent_classes(source)
-    if len(classes) != 1:
-        raise ValueError(
-            f"source chain has {len(classes)} recurrent classes; rate is ill-defined"
-        )
 
 
 def _simulate_block(source: MarkovSource, channel: ChannelSpec, n: int,
@@ -265,17 +201,18 @@ def estimate_rate(source: MarkovSource, channel: ChannelSpec, n: int, seed: int,
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    _check_single_recurrent_class(source)
+    stationary_distribution(source)   # rejects a chain with several recurrent classes
     rng = np.random.default_rng(seed)
     _, _, y = _simulate_block(source, channel, n, rng, s0)
-    jt = _JointTrellis(source, channel)
-    f = _emission_table(np.asarray(y, dtype=np.float64), channel.noise)
-    _, log2c = _scaled_forward(jt, f, h0=state_history(s0, jt.memory), keep_alphas=False)
-    rate, std_err = _rate_from_scales(log2c, conditional_entropy_per_symbol(channel.noise), n_blocks)
+    trellis = build_trellis(source.order, channel.refractory_len)
+    f = channel.noise.emission(np.asarray(y, dtype=np.float64))
+    _, log2c = _scaled_forward(trellis, _edge_prob(trellis, source), f,
+                               h0=state_history(s0, trellis.memory), keep_alphas=False)
+    rate, std_err = _rate_from_scales(log2c, channel.noise.cond_entropy(), n_blocks)
     return RateEstimate(rate=float(np.clip(rate, 0.0, 1.0)), std_err=std_err, sample_len=n)
 
 
-def _edge_weights(jt: _JointTrellis, alphas: np.ndarray, betas: np.ndarray,
+def _edge_weights(trellis: Trellis, prob: np.ndarray, alphas: np.ndarray, betas: np.ndarray,
                   f: np.ndarray) -> np.ndarray:
     """Expected noisy-adjacency weight per edge from posterior branch statistics.
 
@@ -290,34 +227,32 @@ def _edge_weights(jt: _JointTrellis, alphas: np.ndarray, betas: np.ndarray,
     mass get weight 0 and stay off the graph.
     """
     n = f.shape[0]
-    E = jt.edge_from.size
-    like = f[:, jt.edge_z]
-    sigma = alphas[:-1][:, jt.edge_from] * jt.edge_prob * like * betas[1:][:, jt.edge_to]
+    ef = trellis.edge_from
+    E = ef.size
+    sigma = alphas[:-1][:, ef] * prob * f[:, trellis.edge_z] * betas[1:][:, trellis.edge_to]
     norm = sigma.sum(axis=1, keepdims=True)
     if np.any(norm <= 0.0):
         raise ConvergenceError("posterior normalization collapsed")
     sigma /= norm
-    gamma = np.zeros((n, jt.num_states))
-    for e in range(E):
-        gamma[:, jt.edge_from[e]] += sigma[:, e]
+    gamma = sigma.reshape(n, trellis.num_states, 2).sum(axis=2)   # edges 2s, 2s+1 leave s
     weights = np.zeros(E)
     visits = sigma.sum(axis=0)
     for e in range(E):
-        if visits[e] <= 0.0 or jt.edge_prob[e] <= 0.0:
+        if visits[e] <= 0.0 or prob[e] <= 0.0:
             continue
         se = sigma[:, e]
         mask = se > 0.0
-        ratio = se[mask] / gamma[mask, jt.edge_from[e]]
+        ratio = se[mask] / gamma[mask, ef[e]]
         t_e = np.sum(se[mask] * np.log2(ratio)) / visits[e]
         weights[e] = 2.0 ** t_e
     return weights
 
 
-def _maxentropic_update(jt: _JointTrellis, weights: np.ndarray) -> np.ndarray:
+def _maxentropic_update(trellis: Trellis, weights: np.ndarray) -> np.ndarray:
     """New P(1 | history) from the Perron pair of the weighted edge graph."""
-    S = jt.num_states
+    S = trellis.num_states
     W = np.zeros((S, S))
-    W[jt.edge_from, jt.edge_to] = weights
+    W[trellis.edge_from, trellis.edge_to] = weights
     lam, v = perron_pair(W)
     p1 = np.full(S, 0.5)
     tiny = 1e-300
@@ -325,8 +260,8 @@ def _maxentropic_update(jt: _JointTrellis, weights: np.ndarray) -> np.ndarray:
         if v[s] <= tiny:
             continue   # state unreachable under the updated chain; leave neutral
         e0, e1 = 2 * s, 2 * s + 1
-        w0 = weights[e0] * v[jt.edge_to[e0]]
-        w1 = weights[e1] * v[jt.edge_to[e1]]
+        w0 = weights[e0] * v[trellis.edge_to[e0]]
+        w1 = weights[e1] * v[trellis.edge_to[e1]]
         total = w0 + w1
         p1[s] = w1 / total if total > 0.0 else 0.0
     return np.clip(p1, 0.0, 1.0)
@@ -353,23 +288,24 @@ def gbaa_optimize(channel: ChannelSpec, cfg: GbaaConfig
         )
     rng = np.random.default_rng(cfg.seed)
     source = MarkovSource.uniform(cfg.order)
-    h_cond = conditional_entropy_per_symbol(channel.noise)
+    trellis = build_trellis(cfg.order, L)
+    h_cond = channel.noise.cond_entropy()
     iterates: list[MarkovSource] = []
     trace: list[float] = []
     for _ in range(cfg.max_iters):
         _, _, y = _simulate_block(source, channel, cfg.sample_len, rng, GROUND)
-        jt = _JointTrellis(source, channel)
-        f = _emission_table(np.asarray(y, dtype=np.float64), channel.noise)
-        alphas, log2c = _scaled_forward(jt, f)
+        prob = _edge_prob(trellis, source)
+        f = channel.noise.emission(np.asarray(y, dtype=np.float64))
+        alphas, log2c = _scaled_forward(trellis, prob, f)
         rate, _ = _rate_from_scales(log2c, h_cond, n_blocks=20)
         iterates.append(source)
         trace.append(float(np.clip(rate, 0.0, 1.0)))
         if len(trace) == cfg.max_iters or (len(trace) >= 2
                                            and abs(trace[-1] - trace[-2]) < cfg.rate_tol):
             break   # no further iteration would use the update, so skip it
-        betas = _scaled_backward(jt, f)
-        weights = _edge_weights(jt, alphas, betas, f)
-        source = MarkovSource(cfg.order, _maxentropic_update(jt, weights))
+        betas = _scaled_backward(trellis, prob, f)
+        weights = _edge_weights(trellis, prob, alphas, betas, f)
+        source = MarkovSource(cfg.order, _maxentropic_update(trellis, weights))
 
     candidates = {int(np.argmax(trace)), len(trace) - 1}
     eval_len = max(4 * cfg.sample_len, 100_000)

@@ -1,4 +1,4 @@
-"""Noiseless information-rate theory for the refractory gate channel.
+"""Information-rate theory of the noiseless refractory gate channel.
 
 The gate output is a run-length-limited binary sequence (at least L zeros
 between ones), so the noiseless maximum rate has a closed form: the best
@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (AwgnNoise, BinarySymmetric, ChannelSpec, ChannelState, GROUND, Noiseless,
-                      state_history)
+from .channel import AwgnNoise, ChannelSpec, ChannelState, GROUND, binary_entropy, state_history
 from .sources import MarkovSource, stationary_distribution
 
 
@@ -25,21 +24,10 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class RateResult:
-    """An information rate in bits per flash plus how it was obtained."""
+    """An information rate in bits per flash, with its maximizer where one exists."""
 
     rate: float
     argmax_a: float | None = None
-    method: str = "closed_form"   # closed_form | perron_root | brute_force | simulation | gbaa
-
-
-def binary_entropy(p: float) -> float:
-    """H_b(p) in bits, with the endpoint values defined as 0 by continuity."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {p}")
-    if p in (0.0, 1.0):
-        return 0.0
-    return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
 
 
 def fixed_point_a(L: int) -> float:
@@ -77,8 +65,7 @@ def constrained_family_rate(a: float, L: int) -> float:
 def noiseless_rate(L: int) -> RateResult:
     """Maximum noiseless rate: H_b(a*) / (1 + L a*) at the fixed point a*."""
     a_star = fixed_point_a(L)
-    return RateResult(rate=constrained_family_rate(a_star, L), argmax_a=a_star,
-                      method="closed_form")
+    return RateResult(rate=constrained_family_rate(a_star, L), argmax_a=a_star)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +126,7 @@ def perron_pair(A: np.ndarray, tol: float = 1e-13, max_iters: int = 200_000):
 def rll_capacity_perron(L: int) -> RateResult:
     """log2 of the constraint-graph spectral radius; equals noiseless_rate(L)."""
     lam, _ = perron_pair(rll_adjacency(L))
-    return RateResult(rate=float(np.log2(lam)), argmax_a=None, method="perron_root")
+    return RateResult(rate=float(np.log2(lam)))
 
 
 def rll_maxentropic_emission(L: int) -> np.ndarray:
@@ -217,7 +204,7 @@ def brute_force_mi(source: MarkovSource, channel: ChannelSpec, n: int,
     keep = pz > 0
     uz, pz = uz[keep], pz[keep]
 
-    eps = channel.noise.crossover if isinstance(channel.noise, BinarySymmetric) else 0.0
+    eps = channel.noise.crossover
     if eps == 0.0:
         # y = z exactly, so I = H(Y) - H(Y|X) = H(Z)
         return float(-np.sum(pz * np.log2(pz)) / n)
@@ -234,20 +221,3 @@ def brute_force_mi(source: MarkovSource, channel: ChannelSpec, n: int,
         py = (base * ratio ** d) @ pz
         hy -= np.sum(py * np.log2(py))
     return float((hy - n * binary_entropy(eps)) / n)
-
-
-def exact_input_entropy(source: MarkovSource, n: int) -> float:
-    """H(X_1^n)/n by enumeration, source started from the all-zero history."""
-    if not 1 <= n <= MAX_BRUTE_FORCE_N:
-        raise ValueError(f"n must lie in 1..{MAX_BRUTE_FORCE_N}, got {n}")
-    rmask = source.num_histories - 1
-    xs = np.arange(1 << n, dtype=np.int64)
-    probs = np.ones(1 << n)
-    h = np.zeros(1 << n, dtype=np.int64)
-    for t in range(n):
-        bit = (xs >> (n - 1 - t)) & 1
-        p1h = source.p1[h]
-        probs *= np.where(bit == 1, p1h, 1.0 - p1h)
-        h = ((h << 1) | bit) & rmask
-    probs = probs[probs > 0]
-    return float(-np.sum(probs * np.log2(probs)) / n)

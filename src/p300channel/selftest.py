@@ -9,7 +9,7 @@ import numpy as np
 
 from . import channel as ch
 from . import rates
-from .channel import BinarySymmetric, ChannelSpec, GROUND
+from .channel import BinarySymmetric, ChannelSpec
 from .codebooks import Codebook, gen_min_dist
 from .simulate import map_decode
 from .sources import MarkovSource
@@ -80,10 +80,17 @@ def _check_fsm_equivalence() -> str:
         trellis = ch.build_trellis(max(L, 1), L)
         for _ in range(40):
             x = rng.integers(0, 2, size=rng.integers(1, 25))
-            z_run, _ = ch.fsm_run(x, GROUND, L)
-            z_closed = ch.fsm_response(x, L)
-            z_walk = trellis.response(x)
-            if not (np.array_equal(z_run, z_closed) and np.array_equal(z_run, z_walk)):
+            # independent routes: a fold over the steps the gate stays locked,
+            # and a walk along the trellis edges from the all-zero history
+            z_run, z_walk, locked, s = [], [], 0, 0
+            for b in x:
+                z_run.append(int(b and not locked))
+                locked = L if b else max(locked - 1, 0)
+                e = trellis.out_edges[s, b]
+                z_walk.append(int(trellis.edge_z[e]))
+                s = trellis.edge_to[e]
+            z_closed = ch.fsm_response(x, L).tolist()
+            if not z_run == z_closed == z_walk:
                 raise AssertionError(f"route mismatch at L={L}, x={x.tolist()}")
     return "fold, closed form, and trellis walk agree (L=0..3)"
 
@@ -93,8 +100,7 @@ def _check_rll_output() -> str:
     for L in range(1, 4):
         for _ in range(40):
             x = rng.integers(0, 2, size=50)
-            z, _ = ch.fsm_run(x, GROUND, L)
-            ones = np.flatnonzero(z)
+            ones = np.flatnonzero(ch.fsm_response(x, L))
             if ones.size > 1 and np.min(np.diff(ones)) < L + 1:
                 raise AssertionError(f"(L,inf) violation at L={L}")
     return "gate output is (L,inf) run-length limited"
@@ -148,7 +154,7 @@ def _check_invertibility() -> str:
     for L, n in ((1, 10), (2, 10)):
         src = MarkovSource.constrained(L, 0.3)
         mi = rates.brute_force_mi(src, ChannelSpec(L), n)
-        hx = rates.exact_input_entropy(src, n)
+        hx = rates.brute_force_mi(src, ChannelSpec(0), n)
         if abs(mi - hx) >= 1e-12:
             raise AssertionError(f"MI {mi:.12f} != H(X)/n {hx:.12f} at L={L}")
     return "noiseless MI equals input entropy on the constrained family"

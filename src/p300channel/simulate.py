@@ -7,8 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (AwgnNoise, BinarySymmetric, ChannelSpec, ChannelState, GROUND,
-                      Noiseless, apply_noise, fsm_response)
+from .channel import AwgnNoise, ChannelSpec, ChannelState, GROUND, apply_noise, fsm_response
 from .codebooks import Codebook, gen_mbc
 from .rates import maxentropic_source
 
@@ -34,27 +33,13 @@ def response_matrix(book: Codebook, channel: ChannelSpec,
 def _log_likelihoods(Y: np.ndarray, Z: np.ndarray, noise) -> np.ndarray:
     """Per-row log-likelihood scores, shape (batch, W), up to a term equal across rows.
 
-    Each distinct gate response is scored once, by one product ``Y @ Zu.T``,
-    and the scores are gathered back to the rows, so rows with the same
-    response (refractory twins) get bit-identical scores and ties go to the
-    lowest index. AWGN drops ``-|y|^2 / 2 sigma^2``; the binary laws score the
-    Hamming distance ``d = |y| + |z| - 2 y.z`` (exact in float64) and drop
-    ``N log2(1 - eps)``.
+    Each distinct gate response is scored once by the law's ``score`` and the
+    scores are gathered back to the rows, so rows with the same response
+    (refractory twins) get bit-identical scores and ties go to the lowest
+    index.
     """
     Zu, inv = np.unique(Z, axis=0, return_inverse=True)
-    Zu = Zu.astype(np.float64)
-    Y = Y.astype(np.float64, copy=False)
-    dot = Y @ Zu.T
-    if isinstance(noise, AwgnNoise):
-        score = (dot - 0.5 * Zu.sum(axis=1)) / noise.variance   # |z|^2 = |z| for bits
-    else:
-        d = Y.sum(axis=1)[:, None] + Zu.sum(axis=1) - 2.0 * dot
-        eps = 0.0 if isinstance(noise, Noiseless) else noise.crossover
-        if eps == 0.0:
-            score = np.where(d == 0, 0.0, -np.inf)
-        else:
-            score = d * (np.log2(eps) - np.log2(1.0 - eps))
-    return score[:, inv]
+    return noise.score(Y.astype(np.float64, copy=False), Zu.astype(np.float64))[:, inv]
 
 
 def _decode(Y: np.ndarray, Z: np.ndarray, noise) -> np.ndarray:
@@ -110,14 +95,6 @@ class SimReport:
         return out
 
 
-def _noise_summary(noise) -> dict:
-    if isinstance(noise, AwgnNoise):
-        return {"kind": "awgn", "sigma2": noise.variance}
-    if isinstance(noise, BinarySymmetric):
-        return {"kind": "bsc", "crossover": noise.crossover}
-    return {"kind": "noiseless"}
-
-
 _BLOCK = 4096   # runs per noise draw and decode; the report does not depend on it
 
 
@@ -127,7 +104,7 @@ def run_experiment(cfg: SimConfig) -> SimReport:
     One generator, ``default_rng(SeedSequence(seed))``, drives the whole
     experiment. It first draws every target with one ``integers(W, size=runs)``
     call, then the noise of run 0, run 1, ... in turn: N normals (AWGN) or N
-    uniforms (BSC) per run, none for the noiseless channel. The runs are
+    uniforms (BSC, crossover 0 included) per run. The runs are
     transmitted and decoded in blocks of rows, and since the generator yields
     the same values however a draw is split, the blocking does not change
     the report.
@@ -155,7 +132,7 @@ def run_experiment(cfg: SimConfig) -> SimReport:
         "codebook": book.kind,
         "codebook_seed": book.seed,
         "L": channel.refractory_len,
-        "noise": _noise_summary(channel.noise),
+        "noise": channel.noise.summary(),
         "s0": cfg.s0.level,
         "runs": cfg.runs,
     }

@@ -2,13 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from gate_oracles import fsm_run, fsm_step, trellis_walk
 from p300channel import (AwgnNoise, BinarySymmetric, ChannelSpec, ChannelState, GROUND,
-                         Noiseless, apply_noise, build_trellis, fsm_response, fsm_run,
-                         fsm_step, refractory)
-from p300channel.channel import as_bits
+                         apply_noise, build_trellis, fsm_response, refractory)
+from p300channel.channel import as_bits, state_history
 
 
 class TestFsmStep:
@@ -104,6 +105,27 @@ class TestClosedFormEquivalence:
         assert z.tolist() == [[1, 0, 0, 1], [1, 0, 1, 0]]
 
 
+@st.composite
+def gate_cases(draw):
+    L = draw(st.integers(0, 4))
+    r = draw(st.sampled_from([max(L, 1), L + 1]))
+    level = draw(st.integers(0, L))
+    x = draw(st.lists(st.integers(0, 1), min_size=0, max_size=40))
+    return np.array(x, dtype=np.int8), L, r, refractory(level) if level else GROUND
+
+
+class TestGateRoutesProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(case=gate_cases())
+    def test_trellis_walk_closed_form_and_fold_agree(self, case):
+        x, L, r, s0 = case
+        trellis = build_trellis(r, L)
+        walk = trellis_walk(trellis, x, start=state_history(s0, trellis.memory))
+        closed = fsm_response(x, L, s0)
+        fold, _ = fsm_run(x, s0, L)
+        assert walk.tolist() == closed.tolist() == fold.tolist()
+
+
 class TestRllProperty:
     @pytest.mark.parametrize("L", [1, 2, 3])
     def test_output_ones_are_separated(self, L):
@@ -142,8 +164,11 @@ class TestAsBits:
 
 class TestApplyNoise:
     def test_noiseless_identity(self):
-        y = apply_noise([1, 0], Noiseless(), np.random.default_rng(0))
-        assert y.tolist() == [1, 0]
+        # a channel with no noise law given gets the noiseless one, y = z
+        noise = ChannelSpec(0).noise
+        assert noise.summary() == {"kind": "noiseless"}
+        y = apply_noise([1, 0, 1, 1], noise, np.random.default_rng(0))
+        assert y.tolist() == [1, 0, 1, 1]
 
     def test_bsc_zero_crossover(self):
         y = apply_noise([0, 1], BinarySymmetric(0.0), np.random.default_rng(0))
@@ -184,17 +209,21 @@ class TestApplyNoise:
 
 
 class TestTrellis:
+    @staticmethod
+    def z_of(t, s, x):
+        return t.edge_z[t.out_edges[s, x]]
+
     def test_r1_L1_shape_and_labels(self):
         t = build_trellis(1, 1)
         assert t.num_states == 2
-        assert t.next_state.size == 4 and t.z_out.size == 4
-        assert t.z_out[0, 1] == 1   # history 0, input 1 fires
-        assert t.z_out[1, 1] == 0   # history 1, input 1 gated
+        assert t.edge_to.size == 4 and t.edge_z.size == 4
+        assert self.z_of(t, 0, 1) == 1   # history 0, input 1 fires
+        assert self.z_of(t, 1, 1) == 0   # history 1, input 1 gated
 
     def test_r2_L2_single_firing_edge(self):
         t = build_trellis(2, 2)
         assert t.num_states == 4
-        fired = [(s, x) for s in range(4) for x in (0, 1) if t.z_out[s, x] == 1]
+        fired = [(s, x) for s in range(4) for x in (0, 1) if self.z_of(t, s, x) == 1]
         assert fired == [(0, 1)]
 
     def test_memoryless_passes_input(self):
@@ -202,7 +231,7 @@ class TestTrellis:
         assert t.num_states == 2
         for s in range(2):
             for x in (0, 1):
-                assert t.z_out[s, x] == x
+                assert self.z_of(t, s, x) == x
 
     def test_walk_reproduces_fsm_run(self):
         rng = np.random.default_rng(8)
@@ -211,16 +240,14 @@ class TestTrellis:
             for _ in range(25):
                 x = rng.integers(0, 2, size=30)
                 z_run, _ = fsm_run(x, GROUND, L)
-                assert np.array_equal(t.response(x), z_run)
+                assert np.array_equal(trellis_walk(t, x), z_run)
 
     @pytest.mark.parametrize("r,L", [(1, 0), (1, 1), (2, 2), (2, 3), (3, 2)])
     def test_strongly_connected(self, r, L):
         t = build_trellis(r, L)
         S = t.num_states
         adj = np.zeros((S, S), dtype=bool)
-        for s in range(S):
-            adj[s, t.next_state[s, 0]] = True
-            adj[s, t.next_state[s, 1]] = True
+        adj[t.edge_from, t.edge_to] = True
         n_comp, _ = connected_components(csr_matrix(adj), directed=True,
                                          connection="strong")
         assert n_comp == 1
@@ -228,11 +255,56 @@ class TestTrellis:
     def test_deterministic_edges(self):
         t = build_trellis(2, 1)
         # one successor per (state, input); 2 * 2^m edges in total
-        assert t.next_state.shape == (4, 2)
-        assert np.all((0 <= t.next_state) & (t.next_state < 4))
+        assert t.out_edges.shape == (4, 2)
+        assert np.array_equal(t.edge_from[t.out_edges], np.repeat(np.arange(4), 2).reshape(4, 2))
+        assert np.array_equal(t.edge_input[t.out_edges], np.tile([0, 1], (4, 1)))
+        assert np.all((0 <= t.edge_to) & (t.edge_to < 4))
+        # every state has exactly two in-edges, listed in ascending order
+        assert np.array_equal(t.edge_to[t.in_edges], np.repeat(np.arange(4), 2).reshape(4, 2))
+        assert np.all(np.diff(t.in_edges, axis=1) > 0)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             build_trellis(0, 1)
         with pytest.raises(ValueError):
             build_trellis(1, -1)
+
+
+@st.composite
+def law_cases(draw):
+    """A noise law, observation rows Y drawn for it, and 0/1 codeword rows Z."""
+    N = draw(st.integers(1, 10))
+    rows = st.lists(st.integers(0, 1), min_size=N, max_size=N)
+    Z = np.array(draw(st.lists(rows, min_size=1, max_size=6)), dtype=np.float64)
+    if draw(st.booleans()):
+        law = AwgnNoise(draw(st.floats(0.05, 20.0)))
+        reals = st.lists(st.floats(-2.0, 3.0), min_size=N, max_size=N)
+        Y = np.array(draw(st.lists(reals, min_size=1, max_size=4)))
+    else:
+        law = BinarySymmetric(draw(st.one_of(st.just(0.0), st.just(0.5),
+                                             st.floats(0.0, 0.5))))
+        Y = np.array(draw(st.lists(rows, min_size=1, max_size=4)), dtype=np.float64)
+    return law, Y, Z
+
+
+class TestLikelihoodConsistency:
+    """A law's decoder score and its emission table are one likelihood."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=law_cases())
+    def test_score_is_log_emission_product_plus_a_row_constant(self, case):
+        law, Y, Z = case
+        log = np.log if isinstance(law, AwgnNoise) else np.log2   # the law's own base
+        score = law.score(Y, Z)
+        assert score.shape == (Y.shape[0], Z.shape[0])
+        cols = np.arange(Z.shape[1])
+        for b, y in enumerate(Y):
+            f = law.emission(y)[cols, Z.astype(int)]   # (rows of Z, N) factors
+            # the product is exactly 0 where a factor is (only at crossover 0),
+            # and the score is -inf exactly there
+            zero = (f == 0.0).any(axis=1)
+            assert np.array_equal(np.isneginf(score[b]), zero)
+            if zero.all():
+                continue
+            gap = score[b][~zero] - log(f[~zero]).sum(axis=1)
+            assert np.ptp(gap) < 1e-9

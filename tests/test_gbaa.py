@@ -5,12 +5,12 @@ import pytest
 
 from p300channel import gbaa
 from p300channel import (AwgnNoise, BinarySymmetric, ChannelSpec, GbaaConfig,
-                         MarkovSource, Noiseless, binary_entropy, brute_force_mi, entropy_rate,
+                         MarkovSource, binary_entropy, brute_force_mi, build_trellis, entropy_rate,
                          estimate_rate, fixed_point_a, gbaa_optimize,
                          maxentropic_source, noiseless_rate)
-from p300channel.channel import GROUND, fsm_run, refractory, state_history
-from p300channel.gbaa import (_JointTrellis, _emission_table, _scaled_forward,
-                              _simulate_block, conditional_entropy_per_symbol)
+from gate_oracles import fsm_run
+from p300channel.channel import GROUND, refractory, state_history
+from p300channel.gbaa import _edge_prob, _scaled_forward, _simulate_block
 
 GOLDEN_RATE = 0.6942419136306174
 
@@ -106,11 +106,12 @@ class TestInitialState:
         rng = np.random.default_rng(10 * L + r)
         source = MarkovSource(r, rng.uniform(0.1, 0.9, 1 << r))
         channel = ChannelSpec(L, BinarySymmetric(eps))
-        jt = _JointTrellis(source, channel)
+        tr = build_trellis(r, L)
         for s0 in [GROUND] + [refractory(l) for l in range(1, L + 1)]:
             y = rng.integers(0, 2, 9).astype(np.int8)
-            f = _emission_table(y.astype(np.float64), channel.noise)
-            _, log2c = _scaled_forward(jt, f, h0=state_history(s0, jt.memory))
+            f = channel.noise.emission(y.astype(np.float64))
+            _, log2c = _scaled_forward(tr, _edge_prob(tr, source), f,
+                                       h0=state_history(s0, tr.memory))
             want = _enumerated_log2_py(source, L, eps, y, s0)
             assert log2c.sum() == pytest.approx(want, abs=1e-12)
 
@@ -130,7 +131,7 @@ class TestInitialState:
     def test_source_sample_starts_at_s0_history(self):
         # from history 1 the constrained source cannot emit a 1 next
         source = MarkovSource.constrained(1, 0.9)
-        channel = ChannelSpec(1, Noiseless())
+        channel = ChannelSpec(1)
         firsts = [_simulate_block(source, channel, 5, np.random.default_rng(s),
                                   refractory(1))[0][0] for s in range(40)]
         assert max(firsts) == 0
@@ -147,16 +148,14 @@ class TestForwardRecursion:
         x = src.sample(2000, rng)
         from p300channel import fsm_response, apply_noise
         y = apply_noise(fsm_response(x, 2), chan.noise, rng)
-        jt = _JointTrellis(src, chan)
-        alphas, _ = _scaled_forward(jt, _emission_table(y.astype(float), chan.noise))
+        tr = build_trellis(2, 2)
+        alphas, _ = _scaled_forward(tr, _edge_prob(tr, src), chan.noise.emission(y.astype(float)))
         assert np.allclose(alphas.sum(axis=1), 1.0, atol=1e-9)
 
     def test_conditional_term_closed_forms(self):
-        assert conditional_entropy_per_symbol(Noiseless()) == 0.0
-        assert conditional_entropy_per_symbol(BinarySymmetric(0.2)) == pytest.approx(
-            0.7219280948873623)
-        assert conditional_entropy_per_symbol(AwgnNoise(1.0)) == pytest.approx(
-            0.5 * np.log2(2 * np.pi * np.e))
+        assert BinarySymmetric(0.0).cond_entropy() == 0.0
+        assert BinarySymmetric(0.2).cond_entropy() == pytest.approx(0.7219280948873623)
+        assert AwgnNoise(1.0).cond_entropy() == pytest.approx(0.5 * np.log2(2 * np.pi * np.e))
 
 
 class TestGbaaOptimize:

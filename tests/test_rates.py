@@ -8,7 +8,6 @@ from p300channel import (BinarySymmetric, ChannelSpec, GROUND, MarkovSource,
                          noiseless_rate, perron_pair, rll_adjacency,
                          rll_capacity_perron, rll_maxentropic_emission)
 from p300channel.channel import AwgnNoise, refractory
-from p300channel.rates import exact_input_entropy
 from p300channel.sources import ReducibleChainError
 
 GOLDEN_RATE = 0.6942419136306174   # log2((1 + sqrt 5) / 2)
@@ -173,6 +172,11 @@ class TestEntropyRate:
     def test_reducible_chain_rejected(self):
         with pytest.raises(ReducibleChainError):
             entropy_rate(MarkovSource(1, np.array([0.0, 1.0])))
+
+
+def exact_input_entropy(source, n):
+    """H(X_1^n)/n from the all-zero history: the MI of the noiseless L = 0 channel."""
+    return brute_force_mi(source, ChannelSpec(0), n)
 
 
 class TestBruteForceMi:

@@ -11,24 +11,23 @@ could show.
 import numpy as np
 import pytest
 
-from p300channel import (AwgnNoise, BinarySymmetric, ChannelSpec, MarkovSource, Noiseless,
-                         apply_noise, fsm_response)
-from p300channel.gbaa import (_JointTrellis, _edge_weights, _emission_table,
-                              _scaled_backward, _scaled_forward)
+from p300channel import (AwgnNoise, BinarySymmetric, MarkovSource, apply_noise, build_trellis,
+                         fsm_response)
+from p300channel.gbaa import _edge_prob, _edge_weights, _scaled_backward, _scaled_forward
 from p300channel.rates import ConvergenceError
 from p300channel.sources import _chunk_len
 
 TOL = 1e-12
 
 
-def loop_forward(jt, f, h0=0):
+def loop_forward(tr, ep, f, h0=0):
     n = f.shape[0]
-    S = jt.num_states
+    S = tr.num_states
     alphas = np.zeros((n + 1, S))
     alphas[0, h0] = 1.0
     log2c = np.empty(n)
-    like = f[:, jt.edge_z]
-    ef, et, ep = jt.edge_from, jt.edge_to, jt.edge_prob
+    like = f[:, tr.edge_z]
+    ef, et = tr.edge_from, tr.edge_to
     for t in range(n):
         w = alphas[t, ef] * ep * like[t]
         a = np.bincount(et, weights=w, minlength=S)
@@ -40,13 +39,13 @@ def loop_forward(jt, f, h0=0):
     return alphas, log2c
 
 
-def loop_backward(jt, f):
+def loop_backward(tr, ep, f):
     n = f.shape[0]
-    S = jt.num_states
+    S = tr.num_states
     betas = np.empty((n + 1, S))
     betas[n] = 1.0 / S
-    like = f[:, jt.edge_z]
-    ef, et, ep = jt.edge_from, jt.edge_to, jt.edge_prob
+    like = f[:, tr.edge_z]
+    ef, et = tr.edge_from, tr.edge_to
     for t in range(n - 1, -1, -1):
         w = betas[t + 1, et] * ep * like[t]
         b = np.bincount(ef, weights=w, minlength=S)
@@ -60,40 +59,41 @@ def loop_backward(jt, f):
 def _case(L, r, noise, n, seed):
     rng = np.random.default_rng(seed)
     src = MarkovSource(r, rng.uniform(0.1, 0.9, 1 << r))
-    chan = ChannelSpec(L, noise)
     y = apply_noise(fsm_response(src.sample(n, rng), L), noise, rng)
-    return _JointTrellis(src, chan), _emission_table(np.asarray(y, dtype=np.float64), noise)
+    tr = build_trellis(r, L)
+    return tr, _edge_prob(tr, src), noise.emission(np.asarray(y, dtype=np.float64))
 
 
 C = _chunk_len(10_007)    # 101: sizes around it leave a full, a partial or a 1-step chunk
 SIZES = (1, 2, C - 1, C, C + 1, 10_007)
-NOISES = (AwgnNoise(0.5), BinarySymmetric(0.1), Noiseless())
+NOISES = (AwgnNoise(0.5), BinarySymmetric(0.1), BinarySymmetric(0.0))
+NOISELESS = BinarySymmetric(0.0)
 
 
-@pytest.mark.parametrize("noise", NOISES, ids=lambda z: type(z).__name__)
+@pytest.mark.parametrize("noise", NOISES, ids=["AwgnNoise", "BinarySymmetric", "Noiseless"])
 @pytest.mark.parametrize("L", [0, 1, 2, 3])
 def test_scan_matches_loop(L, noise):
     # r = L is the smallest legal order (r >= 1); r = L + 1 adds a history bit
     for r in sorted({max(L, 1), L + 1}):
         for n in SIZES:
-            jt, f = _case(L, r, noise, n, seed=1000 * L + 10 * r + n)
-            a_loop, l_loop = loop_forward(jt, f)
-            b_loop = loop_backward(jt, f)
-            a_scan, l_scan = _scaled_forward(jt, f)
-            b_scan = _scaled_backward(jt, f)
+            tr, ep, f = _case(L, r, noise, n, seed=1000 * L + 10 * r + n)
+            a_loop, l_loop = loop_forward(tr, ep, f)
+            b_loop = loop_backward(tr, ep, f)
+            a_scan, l_scan = _scaled_forward(tr, ep, f)
+            b_scan = _scaled_backward(tr, ep, f)
             assert np.max(np.abs(l_scan - l_loop)) < TOL
             assert np.max(np.abs(a_scan - a_loop)) < TOL
             assert np.max(np.abs(b_scan - b_loop)) < TOL
-            w_loop = _edge_weights(jt, a_loop, b_loop, f)
-            w_scan = _edge_weights(jt, a_scan, b_scan, f)
+            w_loop = _edge_weights(tr, ep, a_loop, b_loop, f)
+            w_scan = _edge_weights(tr, ep, a_scan, b_scan, f)
             assert np.max(np.abs(w_scan - w_loop)) < TOL
 
 
 def test_rate_pass_keeps_no_alphas():
-    jt, f = _case(2, 2, AwgnNoise(0.5), 5000, seed=4)
-    alphas, log2c = _scaled_forward(jt, f, keep_alphas=False)
+    tr, ep, f = _case(2, 2, AwgnNoise(0.5), 5000, seed=4)
+    alphas, log2c = _scaled_forward(tr, ep, f, keep_alphas=False)
     assert alphas is None
-    assert np.max(np.abs(log2c - loop_forward(jt, f)[1])) < TOL
+    assert np.max(np.abs(log2c - loop_forward(tr, ep, f)[1])) < TOL
 
 
 def test_chunk_len_is_ceil_sqrt():
@@ -109,12 +109,13 @@ def _message(fn, *args):
 
 
 def test_collapse_reports_the_loops_step():
-    jt = _JointTrellis(MarkovSource.uniform(1), ChannelSpec(1))
-    f = _emission_table(np.array([0.0, 1.0, 1.0, 0.0]), Noiseless())
-    assert _message(_scaled_forward, jt, f) == "forward recursion collapsed at step 2"
-    assert _message(loop_forward, jt, f) == "forward recursion collapsed at step 2"
-    assert _message(_scaled_backward, jt, f) == "backward recursion collapsed at step 1"
-    assert _message(loop_backward, jt, f) == "backward recursion collapsed at step 1"
+    tr = build_trellis(1, 1)
+    ep = _edge_prob(tr, MarkovSource.uniform(1))
+    f = NOISELESS.emission(np.array([0.0, 1.0, 1.0, 0.0]))
+    assert _message(_scaled_forward, tr, ep, f) == "forward recursion collapsed at step 2"
+    assert _message(loop_forward, tr, ep, f) == "forward recursion collapsed at step 2"
+    assert _message(_scaled_backward, tr, ep, f) == "backward recursion collapsed at step 1"
+    assert _message(loop_backward, tr, ep, f) == "backward recursion collapsed at step 1"
 
 
 @pytest.mark.parametrize("pos", [0, 1, 30, 31, 32, 500, 960, 997])
@@ -124,7 +125,8 @@ def test_collapse_anywhere_in_the_chunks(pos):
     rng = np.random.default_rng(pos)
     z = fsm_response(MarkovSource.uniform(1).sample(999, rng), 1).astype(np.float64)
     z[pos:pos + 2] = 1.0
-    jt = _JointTrellis(MarkovSource.uniform(1), ChannelSpec(1))
-    f = _emission_table(z, Noiseless())
-    assert _message(_scaled_forward, jt, f) == _message(loop_forward, jt, f)
-    assert _message(_scaled_backward, jt, f) == _message(loop_backward, jt, f)
+    tr = build_trellis(1, 1)
+    ep = _edge_prob(tr, MarkovSource.uniform(1))
+    f = NOISELESS.emission(z)
+    assert _message(_scaled_forward, tr, ep, f) == _message(loop_forward, tr, ep, f)
+    assert _message(_scaled_backward, tr, ep, f) == _message(loop_backward, tr, ep, f)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
 from p300channel import (AwgnNoise, BinarySymmetric, ChannelSpec, Codebook, GROUND,
-                         Noiseless, SimConfig, fsm_response, gen_mbc, gen_rcp,
+                         SimConfig, fsm_response, gen_mbc, gen_rcp,
                          map_decode, maxentropic_source, run_experiment,
                          wilson_interval)
 from p300channel import simulate
@@ -127,9 +127,10 @@ class TestDecoderVsExhaustivePosterior:
 
     @settings(max_examples=200, deadline=None)
     @given(book=small_books(), L=st.integers(0, 2),
-           noise=st.one_of(st.just(Noiseless()), st.builds(BinarySymmetric, st.floats(0.0, 0.5))))
+           noise=st.one_of(st.just(BinarySymmetric(0.0)),
+                           st.builds(BinarySymmetric, st.floats(0.0, 0.5))))
     def test_binary_on_every_output(self, book, L, noise):
-        eps = getattr(noise, "crossover", 0.0)
+        eps = noise.crossover
         chan = ChannelSpec(L, noise)
         Z = fsm_response(book.matrix, L)
         N = book.num_trials
@@ -173,11 +174,9 @@ def oracle_experiment(book: Codebook, channel: ChannelSpec, runs: int, seed: int
         if isinstance(noise, AwgnNoise):
             y = Z[t] + rng.normal(0.0, np.sqrt(noise.variance), N)
             scores = awgn_log_likelihoods(y, Z, noise.variance)
-        elif isinstance(noise, BinarySymmetric):
+        else:
             y = Z[t] ^ (rng.random(N) < noise.crossover)
             scores = exact_binary_likelihoods(y, Z, noise.crossover)
-        else:
-            scores = exact_binary_likelihoods(Z[t], Z, 0.0)
         confusion[t, first_argmax(scores)] += 1
     return np.trace(confusion) / runs, confusion
 
