@@ -9,15 +9,15 @@ codebooks, and scores them by Monte Carlo spelling simulation.
 
 from .channel import (AwgnNoise, BinarySymmetric, ChannelSpec, ChannelState, GROUND,
                       apply_noise, build_trellis, fsm_response, refractory)
-from .codebooks import (Codebook, GridLayout, export_codebook, gen_cbp, gen_mbc,
+from .codebooks import (Codebook, export_codebook, gen_cbp, gen_mbc,
                         gen_min_dist, gen_rcp, import_codebook, min_hamming_distance)
 from .gbaa import GbaaConfig, RateEstimate, estimate_rate, gbaa_optimize
 from .rates import (ConvergenceError, RateResult, binary_entropy, brute_force_mi,
                     constrained_family_rate, entropy_rate, fixed_point_a,
                     maxentropic_source, noiseless_rate, perron_pair, rll_adjacency,
-                    rll_capacity_perron, rll_maxentropic_emission)
-from .simulate import (SimConfig, SimReport, map_decode, response_matrix,
-                       run_experiment, sweep_awgn, sweep_refractory, wilson_interval)
+                    rll_capacity_perron)
+from .simulate import (SimConfig, SimReport, map_decode, run_experiment, sweep_awgn,
+                       sweep_refractory, wilson_interval)
 from .sources import (MarkovSource, ReducibleChainError, load_source, save_source,
                       stationary_distribution)
 
@@ -26,14 +26,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AwgnNoise", "BinarySymmetric", "ChannelSpec", "ChannelState", "GROUND",
     "apply_noise", "build_trellis", "fsm_response", "refractory",
-    "Codebook", "GridLayout", "export_codebook", "gen_cbp", "gen_mbc",
+    "Codebook", "export_codebook", "gen_cbp", "gen_mbc",
     "gen_min_dist", "gen_rcp", "import_codebook", "min_hamming_distance",
     "GbaaConfig", "RateEstimate", "estimate_rate", "gbaa_optimize",
     "ConvergenceError", "RateResult", "binary_entropy", "brute_force_mi",
     "constrained_family_rate", "entropy_rate", "fixed_point_a",
     "maxentropic_source", "noiseless_rate", "perron_pair", "rll_adjacency",
-    "rll_capacity_perron", "rll_maxentropic_emission",
-    "SimConfig", "SimReport", "map_decode", "response_matrix", "run_experiment",
+    "rll_capacity_perron",
+    "SimConfig", "SimReport", "map_decode", "run_experiment",
     "sweep_awgn", "sweep_refractory", "wilson_interval",
     "MarkovSource", "ReducibleChainError", "load_source", "save_source",
     "stationary_distribution",

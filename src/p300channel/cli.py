@@ -14,11 +14,11 @@ from .channel import AwgnNoise, BinarySymmetric, ChannelSpec, NoiseLaw
 from .codebooks import (codebook_csv_text, export_codebook, gen_cbp, gen_mbc,
                         gen_min_dist, gen_rcp, import_codebook)
 from .gbaa import GbaaConfig, gbaa_optimize
-from .rates import (ConvergenceError, constrained_family_rate, fixed_point_a,
+from .rates import (ConvergenceError, constrained_family_rate,
                     maxentropic_source, noiseless_rate, rll_capacity_perron)
 from .selftest import format_results, run_selftest
-from .simulate import (SimConfig, run_experiment, sweep_awgn, sweep_refractory,
-                       sweep_rows_to_csv, SWEEP_COLUMNS)
+from .simulate import (SimConfig, _point_seed, run_experiment, sweep_awgn, sweep_refractory,
+                       sweep_rows_to_csv)
 from .sources import load_source, save_source
 
 EXIT_OK = 0
@@ -57,8 +57,8 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _flat_csv(payload: dict) -> str:
-    """Single-row CSV of the scalar fields, nested dicts dot-flattened."""
+def _flatten(payload: dict) -> dict:
+    """The scalar fields of a payload, nested dicts dot-flattened."""
     flat = {}
     for key, value in payload.items():
         if isinstance(value, dict):
@@ -66,27 +66,25 @@ def _flat_csv(payload: dict) -> str:
                          if not isinstance(v, (dict, list))})
         elif not isinstance(value, list):
             flat[key] = value
-    keys = sorted(flat)
-    row = ",".join(repr(flat[k]) if isinstance(flat[k], float) else str(flat[k])
-                   for k in keys)
-    return ",".join(keys) + "\n" + row + "\n"
+    return flat
 
 
 def _emit_payload(payload: dict, args) -> None:
-    fmt = args.format or "json"
-    text = _flat_csv(payload) if fmt == "csv" else _json(payload)
+    if args.format == "csv":
+        flat = _flatten(payload)
+        text = sweep_rows_to_csv([flat], sorted(flat))
+    else:
+        text = _json(payload)
     _emit(text, _out_path(args.out))
 
 
 def _noise_from_args(args) -> NoiseLaw:
-    sigma2 = getattr(args, "sigma2", None)
-    eps = getattr(args, "eps", None)
-    if sigma2 is not None and eps is not None:
+    if args.sigma2 is not None and args.eps is not None:
         raise ValueError("give either --sigma2 or --eps, not both")
-    if sigma2 is not None:
-        return AwgnNoise(sigma2)
-    if eps is not None:
-        return BinarySymmetric(eps)
+    if args.sigma2 is not None:
+        return AwgnNoise(args.sigma2)
+    if args.eps is not None:
+        return BinarySymmetric(args.eps)
     return BinarySymmetric(0.0)
 
 
@@ -158,6 +156,15 @@ BOOK_KINDS = {
 }
 
 
+def _make_book(kind: str, args, seed: int):
+    """The ``kind`` book for the shared options; genbook and sweep both build here."""
+    if kind not in BOOK_KINDS:
+        raise ValueError(f"unknown codebook kind {kind!r}")
+    if kind == "cbp" and args.W != 36:
+        raise ValueError("the checkerboard construction is specific to the 6x6 grid (W=36)")
+    return BOOK_KINDS[kind](args, seed)
+
+
 def cmd_genbook(args) -> int:
     seed = _resolve_seed(args.seed)
     if args.kind == "mbc" and args.source is not None:
@@ -165,9 +172,7 @@ def cmd_genbook(args) -> int:
     else:
         if args.kind == "mbc" and args.L is None:
             raise ValueError("genbook --kind mbc needs --L or --source")
-        if args.kind == "cbp" and args.W != 36:
-            raise ValueError("the checkerboard construction is specific to the 6x6 grid (W=36)")
-        book = BOOK_KINDS[args.kind](args, seed)
+        book = _make_book(args.kind, args, seed)
 
     out = _out_path(args.out, f"codebook_{args.kind}.csv")
     if out is None:
@@ -187,10 +192,7 @@ def cmd_simulate(args) -> int:
     channel = ChannelSpec(args.L, _noise_from_args(args))
     cfg = SimConfig(book, channel, runs=args.runs, seed=seed,
                     track_confusion=args.confusion)
-    report = run_experiment(cfg)
-    payload = report.to_dict()
-    payload["ci_lo"], payload["ci_hi"] = payload.pop("wilson_ci95")
-    _emit_payload(payload, args)
+    _emit_payload(run_experiment(cfg).to_dict(), args)
     return EXIT_OK
 
 
@@ -201,12 +203,8 @@ def cmd_sweep(args) -> int:
     if args.sigma2_grid is not None:
         grid = [float(v) for v in args.sigma2_grid.split(",") if v]
         kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
-        books = {}
-        for kind_idx, kind in enumerate(sorted(kinds)):
-            if kind not in BOOK_KINDS:
-                raise ValueError(f"unknown codebook kind {kind!r}")
-            bseed = int(np.random.SeedSequence([seed, kind_idx]).generate_state(1)[0])
-            books[kind] = BOOK_KINDS[kind](args, bseed)
+        books = {kind: _make_book(kind, args, _point_seed(seed, kind_idx))
+                 for kind_idx, kind in enumerate(sorted(kinds))}
         rows = sweep_awgn(books, args.L, grid, runs=args.runs, seed=seed)
     else:
         grid = [int(v) for v in args.L_grid.split(",") if v]
@@ -214,10 +212,7 @@ def cmd_sweep(args) -> int:
             raise ValueError("--L-grid sweeps need --sigma2")
         rows = sweep_refractory(grid, args.sigma2, args.N, runs=args.runs, seed=seed,
                                 W=args.W)
-    if (args.format or "csv") == "json":
-        text = _json(rows)
-    else:
-        text = sweep_rows_to_csv(rows)
+    text = _json(rows) if args.format == "json" else sweep_rows_to_csv(rows)
     _emit(text, _out_path(args.out, "sweep.csv"))
     return EXIT_OK
 
@@ -233,6 +228,25 @@ def cmd_selftest(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _add_output(p, fmt: str | None) -> None:
+    p.add_argument("--out", type=str, default=None, help="output file (or directory for optimize)")
+    if fmt is not None:
+        p.add_argument("--format", choices=("json", "csv"), default=fmt)
+
+
+def _add_noise(p) -> None:
+    p.add_argument("--sigma2", type=float, default=None, help="AWGN power")
+    p.add_argument("--eps", type=float, default=None, help="BSC crossover")
+
+
+def _add_book_options(p) -> None:
+    p.add_argument("--W", type=int, default=36)
+    p.add_argument("--N", type=int, default=60)
+    p.add_argument("--gap", type=int, default=3, help="cbp: guaranteed minimum flash gap")
+    p.add_argument("--weight", type=int, default=10, help="mindist: row weight")
+    p.add_argument("--trials", type=int, default=50, help="mindist: search candidates")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="p300channel",
@@ -240,65 +254,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="master seed (drawn and printed if omitted)")
-    common.add_argument("--out", type=str, default=None, help="output file (or directory for optimize)")
-    # parents share action objects, so per-subcommand defaults are resolved in
-    # the handlers (sweep prefers csv, everything else json)
-    common.add_argument("--format", choices=("json", "csv"), default=None)
+    def add(name: str, func, summary: str):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--seed", type=int, default=None,
+                       help="master seed (drawn and printed if omitted)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("rate", parents=[common], help="closed-form noiseless rate")
+    p = add("rate", cmd_rate, "closed-form noiseless rate")
+    _add_output(p, "json")
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--a", type=float, default=None, help="also evaluate the family rate at this a")
-    p.set_defaults(func=cmd_rate)
 
-    p = sub.add_parser("optimize", parents=[common], help="optimize a Markov source for a noisy channel")
+    p = add("optimize", cmd_optimize, "optimize a Markov source for a noisy channel")
+    _add_output(p, None)
     p.add_argument("--L", type=int, required=True)
-    p.add_argument("--sigma2", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
+    _add_noise(p)
     p.add_argument("--order", type=int, default=None, help="source order (default: max(L, 1))")
     p.add_argument("--iters", type=int, default=30)
     p.add_argument("--len", type=int, default=50_000, help="simulated sequence length per iteration")
     p.add_argument("--tol", type=float, default=1e-6)
-    p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("genbook", parents=[common], help="generate a codebook CSV")
+    p = add("genbook", cmd_genbook, "generate a codebook CSV")
+    _add_output(p, None)
     p.add_argument("--kind", choices=tuple(BOOK_KINDS), required=True)
-    p.add_argument("--W", type=int, default=36)
-    p.add_argument("--N", type=int, default=60)
     p.add_argument("--L", type=int, default=None, help="mbc: use the rate-optimal source for this L")
     p.add_argument("--source", type=str, default=None, help="mbc: source file from `optimize`")
-    p.add_argument("--gap", type=int, default=3, help="cbp: guaranteed minimum flash gap")
-    p.add_argument("--weight", type=int, default=10, help="mindist: row weight")
-    p.add_argument("--trials", type=int, default=50, help="mindist: search candidates")
-    p.set_defaults(func=cmd_genbook)
+    _add_book_options(p)
 
-    p = sub.add_parser("simulate", parents=[common], help="Monte Carlo spelling accuracy")
+    p = add("simulate", cmd_simulate, "Monte Carlo spelling accuracy")
+    _add_output(p, "json")
     p.add_argument("--book", type=str, required=True, help="codebook CSV")
     p.add_argument("--L", type=int, required=True)
-    p.add_argument("--sigma2", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
+    _add_noise(p)
     p.add_argument("--runs", type=int, default=1000)
     p.add_argument("--confusion", action="store_true", help="include the confusion matrix")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("sweep", parents=[common], help="accuracy sweeps (tidy CSV)")
+    p = add("sweep", cmd_sweep, "accuracy sweeps (tidy CSV)")
+    _add_output(p, "csv")
     p.add_argument("--L", type=int, default=1)
     p.add_argument("--sigma2-grid", type=str, default=None, help="comma-separated AWGN powers")
     p.add_argument("--kinds", type=str, default="mbc,rcp,cbp,mindist")
     p.add_argument("--L-grid", type=str, default=None, help="comma-separated refractory lengths")
     p.add_argument("--sigma2", type=float, default=None, help="fixed AWGN power for --L-grid")
-    p.add_argument("--W", type=int, default=36)
-    p.add_argument("--N", type=int, default=60)
     p.add_argument("--runs", type=int, default=1000)
-    p.add_argument("--gap", type=int, default=3)
-    p.add_argument("--weight", type=int, default=10)
-    p.add_argument("--trials", type=int, default=50)
-    p.set_defaults(func=cmd_sweep)
+    _add_book_options(p)
 
-    p = sub.add_parser("selftest", parents=[common], help="run the invariant suite")
-    p.set_defaults(func=cmd_selftest)
-
+    add("selftest", cmd_selftest, "run the invariant suite")
     return parser
 
 

@@ -4,33 +4,12 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import as_bits
 from .sources import MarkovSource, stationary_distribution
-
-
-@dataclass(frozen=True)
-class GridLayout:
-    """Character grid of the speller screen; flash groups are its rows/columns."""
-
-    rows: int = 6
-    cols: int = 6
-
-    @property
-    def num_chars(self) -> int:
-        return self.rows * self.cols
-
-    def group_columns(self) -> np.ndarray:
-        """Indicator matrix (num_chars, rows + cols): one column per flash group."""
-        W = self.num_chars
-        groups = np.zeros((W, self.rows + self.cols), dtype=np.int8)
-        chars = np.arange(W)
-        groups[chars, chars // self.cols] = 1
-        groups[chars, self.rows + chars % self.cols] = 1
-        return groups
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +19,6 @@ class Codebook:
     matrix: np.ndarray
     kind: str
     seed: int
-    source: MarkovSource | None = field(default=None, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix)
@@ -105,29 +83,30 @@ def gen_mbc(source: MarkovSource, W: int, N: int, seed: int) -> Codebook:
             seen.add(row)
             rows.append(row)
     return Codebook(np.array(rows, dtype=np.int8),
-                    kind=f"mbc(order={source.order})", seed=seed, source=source)
+                    kind=f"mbc(order={source.order})", seed=seed)
 
 
 # ---------------------------------------------------------------------------
 # Row-column paradigm
 # ---------------------------------------------------------------------------
 
-def gen_rcp(W: int = 36, N: int = 60, seed: int = 0,
-            layout: GridLayout = GridLayout()) -> Codebook:
-    """Blocks of random permutations of the grid's row and column flash groups.
+def gen_rcp(W: int = 36, N: int = 60, seed: int = 0) -> Codebook:
+    """Blocks of random permutations of the 6x6 grid's row and column flash groups.
 
-    Every block of rows+cols trials flashes each character exactly twice
-    (once in its grid row, once in its grid column).
+    Every block of 12 trials flashes each character exactly twice (once in
+    its grid row, once in its grid column).
     """
-    if W != layout.num_chars:
-        raise ValueError(f"W={W} does not match the {layout.rows}x{layout.cols} grid")
-    block = layout.rows + layout.cols
-    if N % block != 0 or N == 0:
-        raise ValueError(f"N must be a positive multiple of {block}, got {N}")
-    groups = layout.group_columns()
+    if W != 36:
+        raise ValueError(f"W={W} does not match the 6x6 grid")
+    if N % 12 != 0 or N == 0:
+        raise ValueError(f"N must be a positive multiple of 12, got {N}")
+    chars = np.arange(W)
+    groups = np.zeros((W, 12), dtype=np.int8)   # one column per grid row, then per column
+    groups[chars, chars // 6] = 1
+    groups[chars, 6 + chars % 6] = 1
     rng = np.random.default_rng(np.random.SeedSequence([seed, W, N]))
     for _ in range(50):
-        cols = [groups[:, rng.permutation(block)] for _ in range(N // block)]
+        cols = [groups[:, rng.permutation(12)] for _ in range(N // 12)]
         matrix = np.hstack(cols)
         if _rows_distinct(matrix):
             return Codebook(matrix, kind="rcp", seed=seed)

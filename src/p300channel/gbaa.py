@@ -177,39 +177,44 @@ def _simulate_block(source: MarkovSource, channel: ChannelSpec, n: int,
     return x, z, y
 
 
-def _rate_from_scales(log2c: np.ndarray, h_cond: float, n_blocks: int):
-    """Information rate and block standard error from forward scale factors."""
-    n = log2c.size
-    rate = float(-log2c.mean() - h_cond)
-    n_blocks = min(n_blocks, n)
+def _forward_rate(trellis: Trellis, source: MarkovSource, channel: ChannelSpec, n: int,
+                  rng: np.random.Generator, s0: ChannelState, keep_alphas: bool):
+    """Simulate a length-n block from ``s0`` and run the forward scan over it.
+
+    (1/n)(-log2 p(y_1^n)) comes from the scan's scale factors and the
+    conditional term from the law's closed form; their difference is clipped
+    to [0, 1], and the standard error comes from 20 block means. Returns the
+    rate, its standard error, and the edge probabilities, emission table and
+    forward vectors (None unless ``keep_alphas``) that a backward pass needs.
+    """
+    _, _, y = _simulate_block(source, channel, n, rng, s0)
+    prob = _edge_prob(trellis, source)
+    f = channel.noise.emission(np.asarray(y, dtype=np.float64))
+    alphas, log2c = _scaled_forward(trellis, prob, f, h0=state_history(s0, trellis.memory),
+                                    keep_alphas=keep_alphas)
+    rate = float(np.clip(-log2c.mean() - channel.noise.cond_entropy(), 0.0, 1.0))
+    n_blocks = min(20, n)
     ends = np.linspace(0, n, n_blocks + 1, dtype=int)
     block_means = np.array([-log2c[a:b].mean() for a, b in zip(ends[:-1], ends[1:])])
     std_err = float(block_means.std(ddof=1) / np.sqrt(n_blocks)) if n_blocks > 1 else 0.0
-    return rate, std_err
+    return rate, std_err, prob, f, alphas
 
 
 def estimate_rate(source: MarkovSource, channel: ChannelSpec, n: int, seed: int,
-                  s0: ChannelState = GROUND, n_blocks: int = 20) -> RateEstimate:
+                  s0: ChannelState = GROUND) -> RateEstimate:
     """Estimate the information rate of ``source`` over ``channel`` in bits/flash.
 
-    One length-n realization is simulated; (1/n)(-log2 p(y_1^n)) comes from
-    the scale factors of the chunked forward scan, which keeps no per-step
-    state vectors, and the conditional term from its closed form. The
-    difference is clipped to [0, 1]. The source, the gate and the forward
-    pass all start from the pre-history that ``s0`` implies
-    (:func:`~p300channel.channel.state_history`).
+    One length-n realization is scored by :func:`_forward_rate`, keeping no
+    per-step state vectors. The source, the gate and the forward pass all
+    start from the pre-history that ``s0`` implies (``state_history``).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     stationary_distribution(source)   # rejects a chain with several recurrent classes
-    rng = np.random.default_rng(seed)
-    _, _, y = _simulate_block(source, channel, n, rng, s0)
     trellis = build_trellis(source.order, channel.refractory_len)
-    f = channel.noise.emission(np.asarray(y, dtype=np.float64))
-    _, log2c = _scaled_forward(trellis, _edge_prob(trellis, source), f,
-                               h0=state_history(s0, trellis.memory), keep_alphas=False)
-    rate, std_err = _rate_from_scales(log2c, channel.noise.cond_entropy(), n_blocks)
-    return RateEstimate(rate=float(np.clip(rate, 0.0, 1.0)), std_err=std_err, sample_len=n)
+    rate, std_err, *_ = _forward_rate(trellis, source, channel, n, np.random.default_rng(seed),
+                                      s0, keep_alphas=False)
+    return RateEstimate(rate=rate, std_err=std_err, sample_len=n)
 
 
 def _edge_weights(trellis: Trellis, prob: np.ndarray, alphas: np.ndarray, betas: np.ndarray,
@@ -253,17 +258,11 @@ def _maxentropic_update(trellis: Trellis, weights: np.ndarray) -> np.ndarray:
     S = trellis.num_states
     W = np.zeros((S, S))
     W[trellis.edge_from, trellis.edge_to] = weights
-    lam, v = perron_pair(W)
-    p1 = np.full(S, 0.5)
-    tiny = 1e-300
-    for s in range(S):
-        if v[s] <= tiny:
-            continue   # state unreachable under the updated chain; leave neutral
-        e0, e1 = 2 * s, 2 * s + 1
-        w0 = weights[e0] * v[trellis.edge_to[e0]]
-        w1 = weights[e1] * v[trellis.edge_to[e1]]
-        total = w0 + w1
-        p1[s] = w1 / total if total > 0.0 else 0.0
+    _, v = perron_pair(W)
+    w = (weights * v[trellis.edge_to]).reshape(S, 2)   # edges 2s, 2s+1 leave s
+    total = w.sum(axis=1)
+    p1 = np.divide(w[:, 1], total, out=np.zeros(S), where=total > 0.0)
+    p1[v <= 1e-300] = 0.5   # state unreachable under the updated chain; leave neutral
     return np.clip(p1, 0.0, 1.0)
 
 
@@ -289,17 +288,13 @@ def gbaa_optimize(channel: ChannelSpec, cfg: GbaaConfig
     rng = np.random.default_rng(cfg.seed)
     source = MarkovSource.uniform(cfg.order)
     trellis = build_trellis(cfg.order, L)
-    h_cond = channel.noise.cond_entropy()
     iterates: list[MarkovSource] = []
     trace: list[float] = []
     for _ in range(cfg.max_iters):
-        _, _, y = _simulate_block(source, channel, cfg.sample_len, rng, GROUND)
-        prob = _edge_prob(trellis, source)
-        f = channel.noise.emission(np.asarray(y, dtype=np.float64))
-        alphas, log2c = _scaled_forward(trellis, prob, f)
-        rate, _ = _rate_from_scales(log2c, h_cond, n_blocks=20)
+        rate, _, prob, f, alphas = _forward_rate(trellis, source, channel, cfg.sample_len, rng,
+                                                 GROUND, keep_alphas=True)
         iterates.append(source)
-        trace.append(float(np.clip(rate, 0.0, 1.0)))
+        trace.append(rate)
         if len(trace) == cfg.max_iters or (len(trace) >= 2
                                            and abs(trace[-1] - trace[-2]) < cfg.rate_tol):
             break   # no further iteration would use the update, so skip it

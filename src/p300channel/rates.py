@@ -129,18 +129,6 @@ def rll_capacity_perron(L: int) -> RateResult:
     return RateResult(rate=float(np.log2(lam)))
 
 
-def rll_maxentropic_emission(L: int) -> np.ndarray:
-    """P(emit 1 | graph state) of the maxentropic chain on the constraint graph.
-
-    Built from the Perron pair via p_edge = A_ij v_j / (lam v_i); only the
-    free state can emit a 1.
-    """
-    lam, v = perron_pair(rll_adjacency(L))
-    p_one = np.zeros(L + 1)
-    p_one[L] = v[0] / (lam * v[L])
-    return p_one
-
-
 def maxentropic_source(L: int) -> MarkovSource:
     """The order-L constrained source at the fixed point a*; rate-optimal."""
     if L < 1:

@@ -11,6 +11,7 @@ from . import channel as ch
 from . import rates
 from .channel import BinarySymmetric, ChannelSpec
 from .codebooks import Codebook, gen_min_dist
+from .gbaa import _maxentropic_update
 from .simulate import map_decode
 from .sources import MarkovSource
 
@@ -62,13 +63,14 @@ def _check_achievability() -> str:
 
 
 def _check_graph_route_agreement() -> str:
+    # the GBAA update on the noiseless weights (0 on an input 1 the gate
+    # blocks, 1 elsewhere) is the Perron route to the maxentropic chain
     worst = 0.0
     for L in range(1, 7):
-        src = rates.maxentropic_source(L)
-        p_one = rates.rll_maxentropic_emission(L)
-        for h in range(src.num_histories):
-            state = L if h == 0 else min((h & -h).bit_length() - 1, L)
-            worst = max(worst, abs(src.p1[h] - p_one[state]))
+        trellis = ch.build_trellis(L, L)
+        w = np.where((trellis.edge_input == 1) & (trellis.edge_z == 0), 0.0, 1.0)
+        p1 = _maxentropic_update(trellis, w)
+        worst = max(worst, np.max(np.abs(p1 - rates.maxentropic_source(L).p1)))
     if worst >= 1e-9:
         raise AssertionError(f"construction disagreement {worst:.3e} >= 1e-9")
     return f"max transition disagreement {worst:.1e} over L=1..6"

@@ -24,27 +24,16 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return max(0.0, float(center - half)), min(1.0, float(center + half))
 
 
-def response_matrix(book: Codebook, channel: ChannelSpec,
-                    s0: ChannelState = GROUND) -> np.ndarray:
-    """Gate responses z(w) of every codebook row."""
-    return fsm_response(book.matrix, channel.refractory_len, s0)
-
-
-def _log_likelihoods(Y: np.ndarray, Z: np.ndarray, noise) -> np.ndarray:
-    """Per-row log-likelihood scores, shape (batch, W), up to a term equal across rows.
+def _decode(Y: np.ndarray, Z: np.ndarray, noise) -> np.ndarray:
+    """MAP character of each observation row; ties go to the lowest index.
 
     Each distinct gate response is scored once by the law's ``score`` and the
     scores are gathered back to the rows, so rows with the same response
-    (refractory twins) get bit-identical scores and ties go to the lowest
-    index.
+    (refractory twins) get bit-identical scores.
     """
     Zu, inv = np.unique(Z, axis=0, return_inverse=True)
-    return noise.score(Y.astype(np.float64, copy=False), Zu.astype(np.float64))[:, inv]
-
-
-def _decode(Y: np.ndarray, Z: np.ndarray, noise) -> np.ndarray:
-    """MAP character of each observation row; ties go to the lowest index."""
-    return np.argmax(_log_likelihoods(Y, Z, noise), axis=1)
+    return np.argmax(noise.score(Y.astype(np.float64, copy=False),
+                                 Zu.astype(np.float64))[:, inv], axis=1)
 
 
 def map_decode(y, book: Codebook, channel: ChannelSpec,
@@ -53,7 +42,7 @@ def map_decode(y, book: Codebook, channel: ChannelSpec,
     y = np.asarray(y)
     if y.ndim != 1 or y.shape[0] != book.num_trials:
         raise ValueError(f"observation length {y.shape} does not match N={book.num_trials}")
-    Z = response_matrix(book, channel, s0)
+    Z = fsm_response(book.matrix, channel.refractory_len, s0)
     return int(_decode(y[None, :], Z, channel.noise)[0])
 
 
@@ -76,7 +65,8 @@ class SimReport:
     """Accuracy estimate plus the configuration that produced it."""
 
     accuracy: float
-    wilson_ci95: tuple[float, float]
+    ci_lo: float   # 95% Wilson interval of the accuracy
+    ci_hi: float
     runs: int
     seed: int
     config: dict
@@ -85,7 +75,8 @@ class SimReport:
     def to_dict(self) -> dict:
         out = {
             "accuracy": self.accuracy,
-            "wilson_ci95": list(self.wilson_ci95),
+            "ci_lo": self.ci_lo,
+            "ci_hi": self.ci_hi,
             "runs": self.runs,
             "seed": self.seed,
             "config": self.config,
@@ -110,10 +101,8 @@ def run_experiment(cfg: SimConfig) -> SimReport:
     the report.
     """
     book, channel = cfg.codebook, cfg.channel
-    if cfg.s0.level > channel.refractory_len:
-        raise ValueError(f"state R_{cfg.s0.level} does not exist for L={channel.refractory_len}")
     W, N = book.num_chars, book.num_trials
-    Z = response_matrix(book, channel, cfg.s0)
+    Z = fsm_response(book.matrix, channel.refractory_len, cfg.s0)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     targets = rng.integers(W, size=cfg.runs)
     decoded = np.empty(cfg.runs, dtype=np.int64)
@@ -136,9 +125,9 @@ def run_experiment(cfg: SimConfig) -> SimReport:
         "s0": cfg.s0.level,
         "runs": cfg.runs,
     }
-    return SimReport(accuracy=accuracy, wilson_ci95=wilson_interval(correct, cfg.runs),
-                     runs=cfg.runs, seed=cfg.seed, config=config,
-                     per_char_confusion=confusion)
+    ci_lo, ci_hi = wilson_interval(correct, cfg.runs)
+    return SimReport(accuracy=accuracy, ci_lo=ci_lo, ci_hi=ci_hi, runs=cfg.runs,
+                     seed=cfg.seed, config=config, per_char_confusion=confusion)
 
 
 # ---------------------------------------------------------------------------
@@ -153,15 +142,14 @@ def _point_seed(master: int, index: int) -> int:
     return int(np.random.SeedSequence([master, index]).generate_state(1)[0])
 
 
-def _sweep_row(sigma2: float, L: int, label: str, book: Codebook, runs: int,
+def _sweep_row(sigma2: float, L: int, label: str, N: int, make_book, runs: int,
                seed: int, s0: ChannelState) -> dict:
-    channel = ChannelSpec(L, AwgnNoise(sigma2))
-    row = {"sigma2": sigma2, "L": L, "codebook": label, "N": book.num_trials,
-           "runs": runs, "seed": seed}
+    """One tidy row; a point whose book or experiment fails warns and reads NaN."""
+    channel = ChannelSpec(L, AwgnNoise(sigma2))   # an invalid sigma2 fails the whole sweep
+    row = {"sigma2": sigma2, "L": L, "codebook": label, "N": N, "runs": runs, "seed": seed}
     try:
-        rep = run_experiment(SimConfig(book, channel, runs=runs, seed=seed, s0=s0))
-        row.update(accuracy=rep.accuracy, ci_lo=rep.wilson_ci95[0],
-                   ci_hi=rep.wilson_ci95[1])
+        rep = run_experiment(SimConfig(make_book(), channel, runs=runs, seed=seed, s0=s0))
+        row.update(accuracy=rep.accuracy, ci_lo=rep.ci_lo, ci_hi=rep.ci_hi)
     except Exception as exc:  # keep sweeping; the point is reported as failed
         warnings.warn(f"sweep point (sigma2={sigma2}, L={L}, {label}) failed: {exc}")
         row.update(accuracy=float("nan"), ci_lo=float("nan"), ci_hi=float("nan"))
@@ -177,7 +165,8 @@ def sweep_awgn(books: dict[str, Codebook], L: int, sigma2_grid, runs: int,
     rows = []
     for idx, (sigma2, label) in enumerate(
             (s, lbl) for s in grid for lbl in sorted(books)):
-        rows.append(_sweep_row(sigma2, L, label, books[label], runs,
+        book = books[label]
+        rows.append(_sweep_row(sigma2, L, label, book.num_trials, lambda: book, runs,
                                _point_seed(seed, idx), s0))
     return rows
 
@@ -197,23 +186,16 @@ def sweep_refractory(L_grid, sigma2: float, N: int, runs: int, seed: int,
     rows = []
     for idx, L in enumerate(grid):
         pseed = _point_seed(seed, idx)
-        try:
-            book = gen_mbc(maxentropic_source(L), W, N, seed=pseed)
-        except ValueError as exc:
-            warnings.warn(f"sweep point L={L} failed to build MBC: {exc}")
-            rows.append({"sigma2": sigma2, "L": L, "codebook": f"mbc(order={L})",
-                         "N": N, "runs": runs, "seed": pseed,
-                         "accuracy": float("nan"), "ci_lo": float("nan"),
-                         "ci_hi": float("nan")})
-            continue
-        rows.append(_sweep_row(sigma2, L, book.kind, book, runs, pseed, s0))
+        rows.append(_sweep_row(sigma2, L, f"mbc(order={L})", N,
+                               lambda: gen_mbc(maxentropic_source(L), W, N, seed=pseed),
+                               runs, pseed, s0))
     return rows
 
 
-def sweep_rows_to_csv(rows: list[dict]) -> str:
-    """Render tidy sweep rows in the canonical column order."""
-    lines = [",".join(SWEEP_COLUMNS)]
+def sweep_rows_to_csv(rows: list[dict], columns=SWEEP_COLUMNS) -> str:
+    """Render rows as CSV in the given column order (floats by ``repr``)."""
+    lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
-                              for c in SWEEP_COLUMNS))
+                              for c in columns))
     return "\n".join(lines) + "\n"

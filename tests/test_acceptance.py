@@ -167,7 +167,7 @@ def _accuracy_table(books, L, runs, master_seed):
             seed = int(np.random.SeedSequence([master_seed, i, j]).generate_state(1)[0])
             cfg = SimConfig(book, ChannelSpec(L, AwgnNoise(sigma2)), runs=runs, seed=seed)
             rep = run_experiment(cfg)
-            table[sigma2, label] = (rep.accuracy, rep.wilson_ci95)
+            table[sigma2, label] = (rep.accuracy, (rep.ci_lo, rep.ci_hi))
     return table
 
 
@@ -204,7 +204,7 @@ def test_criterion_9_mbc_degrades_with_L():
         seed = int(np.random.SeedSequence([900, L]).generate_state(1)[0])
         cfg = SimConfig(book, ChannelSpec(L, AwgnNoise(sigma2)), runs=RUNS, seed=seed)
         rep = run_experiment(cfg)
-        results.append((L, rep.accuracy, rep.wilson_ci95))
+        results.append((L, rep.accuracy, (rep.ci_lo, rep.ci_hi)))
     for (_, acc_a, ci_a), (_, acc_b, ci_b) in zip(results, results[1:]):
         assert acc_a >= acc_b or ci_a[0] <= ci_b[1]   # ordered up to CI overlap
     report("criterion-9 refractory degradation",
@@ -221,7 +221,7 @@ def test_criterion_10_floor_and_ceiling(books_by_L):
     chance_book = books_by_L[1]["rcp"]
     cfg = SimConfig(chance_book, ChannelSpec(1, AwgnNoise(1e4)), runs=RUNS, seed=0)
     rep = run_experiment(cfg)
-    lo, hi = rep.wilson_ci95
+    lo, hi = rep.ci_lo, rep.ci_hi
     assert lo <= 1 / 36 <= hi
     assert rep.accuracy >= 1 / 36 - 3 * (hi - lo) / 2   # chance is a floor
     report("criterion-10 floor and ceiling",

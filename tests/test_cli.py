@@ -63,6 +63,47 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
+OUTPUT = {"--seed": None, "--out": None}
+BOOK_OPTIONS = {"--W": 36, "--N": 60, "--gap": 3, "--weight": 10, "--trials": 50}
+NOISE = {"--sigma2": None, "--eps": None}
+OPTION_SURFACE = {
+    "rate": {**OUTPUT, "--format": "json", "--L": None, "--a": None},
+    "optimize": {**OUTPUT, "--L": None, **NOISE, "--order": None, "--iters": 30,
+                 "--len": 50_000, "--tol": 1e-6},
+    "genbook": {**OUTPUT, "--kind": None, "--L": None, "--source": None, **BOOK_OPTIONS},
+    "simulate": {**OUTPUT, "--format": "json", "--book": None, "--L": None, **NOISE,
+                 "--runs": 1000, "--confusion": False},
+    "sweep": {**OUTPUT, "--format": "csv", "--L": 1, "--sigma2-grid": None,
+              "--kinds": "mbc,rcp,cbp,mindist", "--L-grid": None, "--sigma2": None,
+              "--runs": 1000, **BOOK_OPTIONS},
+    "selftest": {"--seed": None},
+}
+
+
+class TestOptionSurface:
+    def test_each_subcommand_has_exactly_its_flags(self):
+        import argparse
+        from p300channel.cli import build_parser
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        surface = {name: {a.option_strings[-1]: a.default for a in p._actions
+                          if a.option_strings and a.dest != "help"}
+                   for name, p in sub.choices.items()}
+        assert surface == OPTION_SURFACE
+        assert sum(map(len, surface.values())) == 48
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--L", "1", "--sigma2", "0.5", "--format", "csv"],
+        ["genbook", "--kind", "rcp", "--format", "json"],
+        ["selftest", "--out", "x"],
+    ])
+    def test_flags_a_subcommand_does_not_read_exit_2(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)   # a parser that accepted the flag would write here
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "0"])
+        assert exc.value.code == 2
+
+
 class TestGenbookSimulate:
     def test_genbook_all_kinds(self, capsys, tmp_path):
         for kind, extra in (("mbc", ["--L", "1"]), ("rcp", []), ("cbp", []),
@@ -208,6 +249,23 @@ class TestSweep:
         assert code == 0
         lines = out.strip().split("\n")
         assert len(lines) == 3
+
+    def test_cbp_needs_the_6x6_grid_as_in_genbook(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--sigma2-grid", "1", "--kinds", "cbp",
+                                 "--W", "20", "--runs", "10", "--seed", "0")
+        genbook = run_cli(capsys, "genbook", "--kind", "cbp", "--W", "20", "--seed", "0")
+        assert code == genbook[0] == 3 and out == ""
+        assert err == genbook[2] and "W=36" in err
+
+    def test_unknown_kind_exits_3(self, capsys):
+        code, _, err = run_cli(capsys, "sweep", "--sigma2-grid", "1", "--kinds", "foo",
+                               "--seed", "0")
+        assert code == 3 and "unknown codebook kind 'foo'" in err
+
+    def test_invalid_sigma2_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--L-grid", "1", "--sigma2", "-1",
+                                 "--runs", "10", "--seed", "0")
+        assert code == 3 and out == "" and "AWGN variance must be positive" in err
 
     def test_needs_exactly_one_grid(self, capsys):
         assert run_cli(capsys, "sweep", "--seed", "0")[0] == 3

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
-from p300channel import (Codebook, GridLayout, MarkovSource, export_codebook, gen_cbp,
+from p300channel import (Codebook, MarkovSource, export_codebook, gen_cbp,
                          gen_mbc, gen_min_dist, gen_rcp, import_codebook,
                          maxentropic_source, min_hamming_distance)
 from p300channel import codebooks
@@ -88,7 +88,6 @@ class TestMbc:
     def test_kind_records_order(self):
         book = gen_mbc(maxentropic_source(2), 12, 40, seed=1)
         assert book.kind == "mbc(order=2)"
-        assert book.source is not None
 
 
 class TestRcp:
@@ -431,10 +430,3 @@ def test_codebook_duplicate_rows_warn():
     with pytest.warns(UserWarning, match="duplicate"):
         Codebook(np.zeros((2, 0)), kind="t", seed=0)     # two empty rows are equal
 
-
-def test_grid_layout_groups():
-    layout = GridLayout()
-    groups = layout.group_columns()
-    assert groups.shape == (36, 12)
-    assert np.all(groups.sum(axis=0) == 6)
-    assert np.all(groups.sum(axis=1) == 2)

@@ -125,7 +125,7 @@ class TestInitialState:
             for seed in range(3):
                 _, _, y = _simulate_block(source, channel, n, np.random.default_rng(seed), s0)
                 want = -_enumerated_log2_py(source, L, eps, y, s0) / n - binary_entropy(eps)
-                est = estimate_rate(source, channel, n, seed, s0=s0, n_blocks=2)
+                est = estimate_rate(source, channel, n, seed, s0=s0)
                 assert est.rate == pytest.approx(np.clip(want, 0.0, 1.0), abs=1e-12)
 
     def test_source_sample_starts_at_s0_history(self):

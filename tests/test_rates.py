@@ -6,8 +6,9 @@ from p300channel import (BinarySymmetric, ChannelSpec, GROUND, MarkovSource,
                          binary_entropy, brute_force_mi, constrained_family_rate,
                          entropy_rate, fixed_point_a, maxentropic_source,
                          noiseless_rate, perron_pair, rll_adjacency,
-                         rll_capacity_perron, rll_maxentropic_emission)
-from p300channel.channel import AwgnNoise, refractory
+                         rll_capacity_perron)
+from p300channel.channel import AwgnNoise, build_trellis, refractory
+from p300channel.gbaa import _maxentropic_update
 from p300channel.sources import ReducibleChainError
 
 GOLDEN_RATE = 0.6942419136306174   # log2((1 + sqrt 5) / 2)
@@ -136,13 +137,13 @@ class TestMaxentropicSource:
         assert np.all(src.p1[1:] == 0.0)
 
     def test_agrees_with_eigenvector_construction(self):
-        # graph state of a history = number of trailing zeros, capped at L
-        for L in range(1, 7):
-            src = maxentropic_source(L)
-            p_one = rll_maxentropic_emission(L)
-            for h in range(src.num_histories):
-                state = L if h == 0 else (h & -h).bit_length() - 1
-                assert src.p1[h] == pytest.approx(p_one[state], abs=1e-9)
+        # Perron route: the GBAA update on the noiseless edge weights (0 on an
+        # input 1 the gate blocks, 1 elsewhere) is the maxentropic chain
+        for L in range(1, 9):
+            tr = build_trellis(L, L)
+            w = np.where((tr.edge_input == 1) & (tr.edge_z == 0), 0.0, 1.0)
+            p1 = _maxentropic_update(tr, w)
+            assert np.max(np.abs(p1 - maxentropic_source(L).p1)) < 1e-9
 
     def test_stationary_one_frequency(self):
         from p300channel import stationary_distribution

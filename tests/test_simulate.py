@@ -189,10 +189,11 @@ TWIN_ROWS[2, 6:9] = [1, 0, 1]
 STREAM_CASES = [
     ("rcp", ChannelSpec(1, AwgnNoise(2.0))),
     ("rcp", ChannelSpec(2, BinarySymmetric(0.2))),
-    ("rcp", ChannelSpec(1, BinarySymmetric(0.0))),
     ("rcp", ChannelSpec(1)),
+    ("rcp", ChannelSpec(0, BinarySymmetric(0.1))),
     ("twin", ChannelSpec(1, AwgnNoise(1e-4))),
     ("twin", ChannelSpec(1)),
+    ("twin", ChannelSpec(2, BinarySymmetric(0.1))),
 ]
 
 
@@ -240,8 +241,7 @@ class TestRunExperiment:
         book = gen_rcp(36, 60, seed=3)
         cfg = SimConfig(book, ChannelSpec(1, AwgnNoise(1e4)), runs=10_000, seed=1)
         rep = run_experiment(cfg)
-        lo, hi = rep.wilson_ci95
-        assert lo <= 1 / 36 <= hi
+        assert rep.ci_lo <= 1 / 36 <= rep.ci_hi
 
     def test_seed_determinism(self):
         book = gen_rcp(36, 24, seed=5)
@@ -296,7 +296,7 @@ class TestRunExperiment:
         book = gen_rcp(36, 24, seed=8)
         cfg = SimConfig(book, ChannelSpec(1, BinarySymmetric(0.5)), runs=5000, seed=3)
         rep = run_experiment(cfg)
-        lo, hi = rep.wilson_ci95
+        lo, hi = rep.ci_lo, rep.ci_hi
         half_width = (hi - lo) / 2
         assert rep.accuracy >= 1 / 36 - 3 * half_width
         assert lo <= 1 / 36 <= hi
@@ -339,6 +339,35 @@ class TestSweeps:
         lines = text.strip().split("\n")
         assert lines[0] == "sigma2,L,codebook,N,runs,accuracy,ci_lo,ci_hi,seed"
         assert len(lines) == 2
+
+    def test_failed_book_points_read_nan(self):
+        # N=3 has too few distinct rows for 36 characters, so both books fail
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = sweep_refractory([1, 2], sigma2=1.5, N=3, runs=10, seed=1)
+        assert len(rows) == 2
+        for idx, (L, row) in enumerate(zip((1, 2), rows)):
+            assert row["codebook"] == f"mbc(order={L})" and row["L"] == L
+            assert row["N"] == 3 and row["seed"] == simulate._point_seed(1, idx)
+            assert all(np.isnan(row[c]) for c in ("accuracy", "ci_lo", "ci_hi"))
+        assert [w.category for w in caught] == [UserWarning, UserWarning]
+        for L, w in zip((1, 2), caught):
+            assert str(w.message).startswith(f"sweep point (sigma2=1.5, L={L}, mbc(order={L}))")
+
+    def test_failed_experiment_reads_nan(self, monkeypatch):
+        def broken(cfg):
+            raise RuntimeError("decoder broke")
+
+        monkeypatch.setattr(simulate, "run_experiment", broken)
+        books = {"rcp": gen_rcp(36, 12, seed=1)}
+        with pytest.warns(UserWarning, match=r"sweep point \(sigma2=1\.0, L=1, rcp\) failed: "
+                                             r"decoder broke"):
+            (row,) = sweep_awgn(books, 1, [1.0], runs=10, seed=2)
+        assert row["codebook"] == "rcp" and row["N"] == 12
+        assert row["seed"] == simulate._point_seed(2, 0)
+        assert all(np.isnan(row[c]) for c in ("accuracy", "ci_lo", "ci_hi"))
+        line = sweep_rows_to_csv([row]).splitlines()[1]
+        assert line == f"1.0,1,rcp,12,10,nan,nan,nan,{row['seed']}"
 
     def test_sweep_deterministic(self):
         books = {"rcp": gen_rcp(36, 12, seed=1)}
