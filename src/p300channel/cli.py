@@ -78,6 +78,18 @@ def _emit_payload(payload: dict, args) -> None:
     _emit(text, _out_path(args.out))
 
 
+def _given(value, default):
+    """A flag's value, or its default when the flag was not given."""
+    return default if value is None else value
+
+
+def _reject_given(args, mode: str, *flags: str) -> None:
+    """Fail naming each flag in ``flags`` (by dest) that was given but ``mode`` does not read."""
+    given = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
+    if given:
+        raise ValueError(f"{mode} does not read {', '.join(given)}")
+
+
 def _noise_from_args(args) -> NoiseLaw:
     if args.sigma2 is not None and args.eps is not None:
         raise ValueError("give either --sigma2 or --eps, not both")
@@ -151,8 +163,9 @@ def cmd_optimize(args) -> int:
 BOOK_KINDS = {
     "mbc": lambda a, seed: gen_mbc(maxentropic_source(a.L), a.W, a.N, seed),
     "rcp": lambda a, seed: gen_rcp(a.W, a.N, seed),
-    "cbp": lambda a, seed: gen_cbp(a.N, a.gap, seed),
-    "mindist": lambda a, seed: gen_min_dist(a.W, a.N, a.weight, a.trials, seed),
+    "cbp": lambda a, seed: gen_cbp(a.N, _given(a.gap, 3), seed),
+    "mindist": lambda a, seed: gen_min_dist(a.W, a.N, _given(a.weight, 10),
+                                            _given(a.trials, 50), seed),
 }
 
 
@@ -167,7 +180,10 @@ def _make_book(kind: str, args, seed: int):
 
 def cmd_genbook(args) -> int:
     seed = _resolve_seed(args.seed)
+    if args.kind != "mbc":
+        _reject_given(args, f"genbook --kind {args.kind}", "source")
     if args.kind == "mbc" and args.source is not None:
+        _reject_given(args, "genbook --source", "L")
         book = gen_mbc(load_source(args.source), args.W, args.N, seed)
     else:
         if args.kind == "mbc" and args.L is None:
@@ -201,12 +217,16 @@ def cmd_sweep(args) -> int:
     if (args.sigma2_grid is None) == (args.L_grid is None):
         raise ValueError("give exactly one of --sigma2-grid or --L-grid")
     if args.sigma2_grid is not None:
+        _reject_given(args, "sweep --sigma2-grid", "sigma2")
+        args.L = _given(args.L, 1)
         grid = [float(v) for v in args.sigma2_grid.split(",") if v]
-        kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
+        kinds = [k.strip() for k in _given(args.kinds, "mbc,rcp,cbp,mindist").split(",")
+                 if k.strip()]
         books = {kind: _make_book(kind, args, _point_seed(seed, kind_idx))
                  for kind_idx, kind in enumerate(sorted(kinds))}
         rows = sweep_awgn(books, args.L, grid, runs=args.runs, seed=seed)
     else:
+        _reject_given(args, "sweep --L-grid", "kinds", "gap", "weight", "trials", "L")
         grid = [int(v) for v in args.L_grid.split(",") if v]
         if args.sigma2 is None:
             raise ValueError("--L-grid sweeps need --sigma2")
@@ -242,9 +262,11 @@ def _add_noise(p) -> None:
 def _add_book_options(p) -> None:
     p.add_argument("--W", type=int, default=36)
     p.add_argument("--N", type=int, default=60)
-    p.add_argument("--gap", type=int, default=3, help="cbp: guaranteed minimum flash gap")
-    p.add_argument("--weight", type=int, default=10, help="mindist: row weight")
-    p.add_argument("--trials", type=int, default=50, help="mindist: search candidates")
+    p.add_argument("--gap", type=int, default=None,
+                   help="cbp: guaranteed minimum flash gap (default 3)")
+    p.add_argument("--weight", type=int, default=None, help="mindist: row weight (default 10)")
+    p.add_argument("--trials", type=int, default=None,
+                   help="mindist: search candidates (default 50)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,9 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("sweep", cmd_sweep, "accuracy sweeps (tidy CSV)")
     _add_output(p, "csv")
-    p.add_argument("--L", type=int, default=1)
+    p.add_argument("--L", type=int, default=None, help="for --sigma2-grid (default 1)")
     p.add_argument("--sigma2-grid", type=str, default=None, help="comma-separated AWGN powers")
-    p.add_argument("--kinds", type=str, default="mbc,rcp,cbp,mindist")
+    p.add_argument("--kinds", type=str, default=None,
+                   help="for --sigma2-grid (default mbc,rcp,cbp,mindist)")
     p.add_argument("--L-grid", type=str, default=None, help="comma-separated refractory lengths")
     p.add_argument("--sigma2", type=float, default=None, help="fixed AWGN power for --L-grid")
     p.add_argument("--runs", type=int, default=1000)

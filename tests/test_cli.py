@@ -64,7 +64,7 @@ class TestUsageErrors:
 
 
 OUTPUT = {"--seed": None, "--out": None}
-BOOK_OPTIONS = {"--W": 36, "--N": 60, "--gap": 3, "--weight": 10, "--trials": 50}
+BOOK_OPTIONS = {"--W": 36, "--N": 60, "--gap": None, "--weight": None, "--trials": None}
 NOISE = {"--sigma2": None, "--eps": None}
 OPTION_SURFACE = {
     "rate": {**OUTPUT, "--format": "json", "--L": None, "--a": None},
@@ -73,8 +73,8 @@ OPTION_SURFACE = {
     "genbook": {**OUTPUT, "--kind": None, "--L": None, "--source": None, **BOOK_OPTIONS},
     "simulate": {**OUTPUT, "--format": "json", "--book": None, "--L": None, **NOISE,
                  "--runs": 1000, "--confusion": False},
-    "sweep": {**OUTPUT, "--format": "csv", "--L": 1, "--sigma2-grid": None,
-              "--kinds": "mbc,rcp,cbp,mindist", "--L-grid": None, "--sigma2": None,
+    "sweep": {**OUTPUT, "--format": "csv", "--L": None, "--sigma2-grid": None,
+              "--kinds": None, "--L-grid": None, "--sigma2": None,
               "--runs": 1000, **BOOK_OPTIONS},
     "selftest": {"--seed": None},
 }
@@ -102,6 +102,32 @@ class TestOptionSurface:
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--seed", "0"])
         assert exc.value.code == 2
+
+
+class TestFlagsAModeDoesNotRead:
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep", "--sigma2-grid", "1", "--sigma2", "1"], "--sigma2"),
+        (["sweep", "--L-grid", "1", "--sigma2", "1", "--kinds", "rcp"], "--kinds"),
+        (["sweep", "--L-grid", "1", "--sigma2", "1", "--gap", "9"], "--gap"),
+        (["sweep", "--L-grid", "1", "--sigma2", "1", "--weight", "5"], "--weight"),
+        (["sweep", "--L-grid", "1", "--sigma2", "1", "--trials", "5"], "--trials"),
+        (["sweep", "--L-grid", "1", "--sigma2", "1", "--L", "2"], "--L"),
+        (["genbook", "--kind", "rcp", "--source", "/nope.txt"], "--source"),
+        (["genbook", "--kind", "cbp", "--source", "/nope.txt"], "--source"),
+        (["genbook", "--kind", "mindist", "--source", "/nope.txt"], "--source"),
+        (["genbook", "--kind", "mbc", "--source", "/nope.txt", "--L", "1"], "--L"),
+    ])
+    def test_exit_3_naming_the_flag(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv, "--seed", "0")
+        assert code == 3 and out == ""
+        assert f"does not read {flag}" in err
+
+    @pytest.mark.parametrize("kind", ["rcp", "cbp", "mindist"])
+    def test_genbook_still_accepts_L_for_every_kind(self, capsys, kind):
+        # the benchmark's spell set-up passes --L 1 to every kind
+        code, out, _ = run_cli(capsys, "genbook", "--kind", kind, "--L", "1", "--N", "24",
+                               "--seed", "1")
+        assert code == 0 and out.startswith(f"# W=36 N=24 kind={kind}")
 
 
 class TestGenbookSimulate:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from p300channel import (MarkovSource, ReducibleChainError, gen_mbc, load_source,
                          maxentropic_source, save_source)
@@ -102,6 +104,24 @@ def test_stationary_of_constrained_chain():
     assert float(pi @ src.p1) == pytest.approx(0.25 / 1.5, abs=1e-12)
 
 
+def closed_classes_oracle(source):
+    """Oracle: the strongly connected components that no edge leaves."""
+    T = source.transition_matrix() > 0
+    n_comp, labels = connected_components(csr_matrix(T), directed=True, connection="strong")
+    return [np.flatnonzero(labels == c) for c in range(n_comp)
+            if not T[labels == c][:, labels != c].any()]
+
+
+def de_bruijn_source(bits="0000100110101111"):
+    """The deterministic source whose 2^r histories form one cycle along ``bits``."""
+    r = len(bits).bit_length() - 1
+    cyclic = bits + bits[:r]
+    p1 = np.zeros(len(bits))
+    for t in range(len(bits)):
+        p1[history_from_label(cyclic[t:t + r])] = int(cyclic[t + r])
+    return MarkovSource(r, p1)
+
+
 def test_multiple_recurrent_classes_detected():
     src = MarkovSource(1, np.array([0.0, 1.0]))   # all-zero and all-one absorbers
     assert len(recurrent_classes(src)) == 2
@@ -147,17 +167,38 @@ def test_source_file_validation(tmp_path):
         load_source(path)
 
 
-# ---------------------------------------------------------------------------
-# Chunked sampler vs the step-by-step loop
-# ---------------------------------------------------------------------------
-
 @st.composite
-def markov_sources(draw):
-    order = draw(st.integers(1, 4))
+def markov_sources(draw, max_order=4):
+    order = draw(st.integers(1, max_order))
     entry = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
     p1 = draw(st.lists(entry, min_size=1 << order, max_size=1 << order))
     return MarkovSource(order, np.array(p1))
 
+
+@settings(max_examples=300, deadline=None)
+@given(source=markov_sources(max_order=6))
+@example(source=de_bruijn_source())
+def test_recurrent_classes_match_scc_oracle(source):
+    want = closed_classes_oracle(source)
+    got = recurrent_classes(source)
+    assert sorted(map(tuple, got)) == sorted(map(tuple, want))
+    if len(want) == 1:
+        pi = stationary_distribution(source)
+        assert set(np.flatnonzero(pi)) <= set(want[0])
+    else:
+        with pytest.raises(ReducibleChainError, match=f"has {len(want)} recurrent classes"):
+            stationary_distribution(source)
+
+
+def test_de_bruijn_source_is_one_cycle():
+    source = de_bruijn_source()
+    assert [c.tolist() for c in recurrent_classes(source)] == [list(range(16))]
+    assert stationary_distribution(source) == pytest.approx(np.full(16, 1 / 16), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Chunked sampler vs the step-by-step loop
+# ---------------------------------------------------------------------------
 
 # lengths that fill the last chunk exactly, or leave one step in it or missing
 chunk_edges = st.integers(1, 70).flatmap(
