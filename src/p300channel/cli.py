@@ -84,8 +84,11 @@ def _given(value, default):
 
 
 def _reject_given(args, mode: str, *flags: str) -> None:
-    """Fail naming each flag in ``flags`` (by dest) that was given but ``mode`` does not read."""
-    given = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
+    """Fail naming each flag in ``flags`` (by dest) that was given but ``mode`` does not read.
+
+    A flag that the subcommand does not define was not given.
+    """
+    given = [f"--{flag}" for flag in flags if getattr(args, flag, None) is not None]
     if given:
         raise ValueError(f"{mode} does not read {', '.join(given)}")
 
@@ -129,8 +132,7 @@ def cmd_optimize(args) -> int:
         raise ValueError("optimize needs a noise law: --sigma2 or --eps")
     channel = ChannelSpec(args.L, noise)
     order = args.order if args.order is not None else max(args.L, 1)
-    cfg = GbaaConfig(order=order, sample_len=args.len, max_iters=args.iters,
-                     rate_tol=args.tol, seed=seed)
+    cfg = GbaaConfig(order=order, sample_len=args.len, max_iters=args.iters, seed=seed)
     source, best, trace = gbaa_optimize(channel, cfg)
 
     outdir = Path(args.out) if args.out is not None else Path(os.environ.get(OUTDIR_ENV, "."))
@@ -149,6 +151,7 @@ def cmd_optimize(args) -> int:
         "final_rate": trace[-1],
         "iterations": len(trace),
         "sample_len": cfg.sample_len,
+        "eval_len": best.sample_len,
         "seed": seed,
         "source_file": str(source_file),
         "trace_file": str(trace_file),
@@ -167,6 +170,12 @@ BOOK_KINDS = {
     "mindist": lambda a, seed: gen_min_dist(a.W, a.N, _given(a.weight, 10),
                                             _given(a.trials, 50), seed),
 }
+# The options that only one kind reads; a run that builds no such book rejects them.
+KIND_OPTIONS = {"mbc": ("source",), "cbp": ("gap",), "mindist": ("weight", "trials")}
+
+
+def _reject_kind_options(args, mode: str, kinds) -> None:
+    _reject_given(args, mode, *(f for k, fs in KIND_OPTIONS.items() if k not in kinds for f in fs))
 
 
 def _make_book(kind: str, args, seed: int):
@@ -180,8 +189,7 @@ def _make_book(kind: str, args, seed: int):
 
 def cmd_genbook(args) -> int:
     seed = _resolve_seed(args.seed)
-    if args.kind != "mbc":
-        _reject_given(args, f"genbook --kind {args.kind}", "source")
+    _reject_kind_options(args, f"genbook --kind {args.kind}", {args.kind})
     if args.kind == "mbc" and args.source is not None:
         _reject_given(args, "genbook --source", "L")
         book = gen_mbc(load_source(args.source), args.W, args.N, seed)
@@ -222,6 +230,7 @@ def cmd_sweep(args) -> int:
         grid = [float(v) for v in args.sigma2_grid.split(",") if v]
         kinds = [k.strip() for k in _given(args.kinds, "mbc,rcp,cbp,mindist").split(",")
                  if k.strip()]
+        _reject_kind_options(args, f"sweep --kinds {','.join(kinds)}", kinds)
         books = {kind: _make_book(kind, args, _point_seed(seed, kind_idx))
                  for kind_idx, kind in enumerate(sorted(kinds))}
         rows = sweep_awgn(books, args.L, grid, runs=args.runs, seed=seed)
@@ -295,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=None, help="source order (default: max(L, 1))")
     p.add_argument("--iters", type=int, default=30)
     p.add_argument("--len", type=int, default=50_000, help="simulated sequence length per iteration")
-    p.add_argument("--tol", type=float, default=1e-6)
 
     p = add("genbook", cmd_genbook, "generate a codebook CSV")
     _add_output(p, None)

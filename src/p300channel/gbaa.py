@@ -46,7 +46,6 @@ class GbaaConfig:
     order: int
     sample_len: int = 50_000
     max_iters: int = 40
-    rate_tol: float = 1e-6   # keep well below the Monte Carlo std err or it fires on noise
     seed: int = 0
 
     def __post_init__(self):
@@ -56,8 +55,6 @@ class GbaaConfig:
             raise ValueError(f"sample_len too small: {self.sample_len}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.rate_tol > 0:
-            raise ValueError(f"rate_tol must be positive, got {self.rate_tol}")
 
 
 def _edge_prob(trellis: Trellis, source: MarkovSource) -> np.ndarray:
@@ -272,9 +269,8 @@ def gbaa_optimize(channel: ChannelSpec, cfg: GbaaConfig
 
     Starts from the uniform source and alternates simulation, forward-backward
     edge statistics (both by the chunked scan), and the maxentropic update on
-    the weighted graph. Stops when the rate trace stagnates below ``rate_tol``
-    or after ``max_iters`` iterations; the last iteration computes only its
-    rate, since no later iteration would use its update. Per-iteration rates
+    the weighted graph. Runs ``max_iters`` iterations; the last computes only
+    its rate, since no later iteration would use its update. Per-iteration rates
     fluctuate by the Monte Carlo error, so the best-by-trace and final
     iterates are re-scored on fresh, longer samples and the better of the two
     is returned with its unbiased estimate plus the full per-iteration trace.
@@ -295,8 +291,7 @@ def gbaa_optimize(channel: ChannelSpec, cfg: GbaaConfig
                                                  GROUND, keep_alphas=True)
         iterates.append(source)
         trace.append(rate)
-        if len(trace) == cfg.max_iters or (len(trace) >= 2
-                                           and abs(trace[-1] - trace[-2]) < cfg.rate_tol):
+        if len(trace) == cfg.max_iters:
             break   # no further iteration would use the update, so skip it
         betas = _scaled_backward(trellis, prob, f)
         weights = _edge_weights(trellis, prob, alphas, betas, f)

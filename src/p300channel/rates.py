@@ -90,15 +90,15 @@ def rll_adjacency(L: int) -> np.ndarray:
     return A
 
 
-def perron_pair(A: np.ndarray, tol: float = 1e-13, max_iters: int = 200_000):
+def perron_pair(A: np.ndarray):
     """Dominant eigenvalue and nonnegative right eigenvector by power iteration.
 
     The iteration runs on ``A + I``: it has the same Perron vector, and its
     eigenvalue lam + 1 strictly dominates every other, so periodic matrices
     such as ``[[0, 2], [1, 0]]`` (eigenvalues +-sqrt 2) converge too. The
     residual is checked against ``A`` itself. Raises
-    :class:`ConvergenceError` if it does not reach ``tol * lam`` within
-    ``max_iters`` sweeps.
+    :class:`ConvergenceError` if it does not reach 1e-13 * lam within
+    200,000 sweeps.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -108,19 +108,17 @@ def perron_pair(A: np.ndarray, tol: float = 1e-13, max_iters: int = 200_000):
     B = A + np.eye(A.shape[0])
     v = np.full(A.shape[0], 1.0 / A.shape[0])
     lam = 0.0
-    for _ in range(max_iters):
+    for _ in range(200_000):
         w = B @ v
         s = w.sum()
         if not np.isfinite(s):
             raise ConvergenceError("power iteration collapsed (non-finite)")
         lam = s / v.sum() - 1.0
         w /= s
-        if np.max(np.abs(A @ w - lam * w)) <= tol * lam:
+        if np.max(np.abs(A @ w - lam * w)) <= 1e-13 * lam:
             return float(lam), w
         v = w
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iters} sweeps (lam ~ {lam:.6g})"
-    )
+    raise ConvergenceError(f"power iteration did not converge in 200000 sweeps (lam ~ {lam:.6g})")
 
 
 def rll_capacity_perron(L: int) -> RateResult:

@@ -7,15 +7,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import AwgnNoise, ChannelSpec, ChannelState, GROUND, apply_noise, fsm_response
+from .channel import AwgnNoise, ChannelSpec, apply_noise, fsm_response
 from .codebooks import Codebook, gen_mbc
 from .rates import maxentropic_source
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion (z = 1.96), within [0, 1]."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    z = 1.96
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -36,14 +37,18 @@ def _decode(Y: np.ndarray, Z: np.ndarray, noise) -> np.ndarray:
                                  Zu.astype(np.float64))[:, inv], axis=1)
 
 
-def map_decode(y, book: Codebook, channel: ChannelSpec,
-               s0: ChannelState = GROUND) -> int:
+def map_decode(y, book: Codebook, channel: ChannelSpec) -> int:
     """Most likely character for one observation; ties go to the lowest index."""
     y = np.asarray(y)
     if y.ndim != 1 or y.shape[0] != book.num_trials:
         raise ValueError(f"observation length {y.shape} does not match N={book.num_trials}")
-    Z = fsm_response(book.matrix, channel.refractory_len, s0)
+    Z = fsm_response(book.matrix, channel.refractory_len)
     return int(_decode(y[None, :], Z, channel.noise)[0])
+
+
+def _check_runs(runs: int) -> None:
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
 
 
 @dataclass(frozen=True)
@@ -52,12 +57,10 @@ class SimConfig:
     channel: ChannelSpec
     runs: int = 1000
     seed: int = 0
-    s0: ChannelState = GROUND
     track_confusion: bool = False
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
+        _check_runs(self.runs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +105,7 @@ def run_experiment(cfg: SimConfig) -> SimReport:
     """
     book, channel = cfg.codebook, cfg.channel
     W, N = book.num_chars, book.num_trials
-    Z = fsm_response(book.matrix, channel.refractory_len, cfg.s0)
+    Z = fsm_response(book.matrix, channel.refractory_len)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     targets = rng.integers(W, size=cfg.runs)
     decoded = np.empty(cfg.runs, dtype=np.int64)
@@ -122,7 +125,6 @@ def run_experiment(cfg: SimConfig) -> SimReport:
         "codebook_seed": book.seed,
         "L": channel.refractory_len,
         "noise": channel.noise.summary(),
-        "s0": cfg.s0.level,
         "runs": cfg.runs,
     }
     ci_lo, ci_hi = wilson_interval(correct, cfg.runs)
@@ -142,13 +144,12 @@ def _point_seed(master: int, index: int) -> int:
     return int(np.random.SeedSequence([master, index]).generate_state(1)[0])
 
 
-def _sweep_row(sigma2: float, L: int, label: str, N: int, make_book, runs: int,
-               seed: int, s0: ChannelState) -> dict:
+def _sweep_row(sigma2: float, L: int, label: str, N: int, make_book, runs: int, seed: int) -> dict:
     """One tidy row; a point whose book or experiment fails warns and reads NaN."""
     channel = ChannelSpec(L, AwgnNoise(sigma2))   # an invalid sigma2 fails the whole sweep
     row = {"sigma2": sigma2, "L": L, "codebook": label, "N": N, "runs": runs, "seed": seed}
     try:
-        rep = run_experiment(SimConfig(make_book(), channel, runs=runs, seed=seed, s0=s0))
+        rep = run_experiment(SimConfig(make_book(), channel, runs=runs, seed=seed))
         row.update(accuracy=rep.accuracy, ci_lo=rep.ci_lo, ci_hi=rep.ci_hi)
     except Exception as exc:  # keep sweeping; the point is reported as failed
         warnings.warn(f"sweep point (sigma2={sigma2}, L={L}, {label}) failed: {exc}")
@@ -156,23 +157,23 @@ def _sweep_row(sigma2: float, L: int, label: str, N: int, make_book, runs: int,
     return row
 
 
-def sweep_awgn(books: dict[str, Codebook], L: int, sigma2_grid, runs: int,
-               seed: int, s0: ChannelState = GROUND) -> list[dict]:
+def sweep_awgn(books: dict[str, Codebook], L: int, sigma2_grid, runs: int, seed: int) -> list[dict]:
     """Accuracy of each codebook at every AWGN noise level; tidy rows."""
     grid = sorted(float(s) for s in sigma2_grid)
     if not grid or not books:
         raise ValueError("sweep needs a nonempty sigma2 grid and at least one codebook")
+    _check_runs(runs)
     rows = []
     for idx, (sigma2, label) in enumerate(
             (s, lbl) for s in grid for lbl in sorted(books)):
         book = books[label]
         rows.append(_sweep_row(sigma2, L, label, book.num_trials, lambda: book, runs,
-                               _point_seed(seed, idx), s0))
+                               _point_seed(seed, idx)))
     return rows
 
 
 def sweep_refractory(L_grid, sigma2: float, N: int, runs: int, seed: int,
-                     W: int = 36, s0: ChannelState = GROUND) -> list[dict]:
+                     W: int = 36) -> list[dict]:
     """Accuracy of the memory-based codebook as the refractory length grows.
 
     The codebook is regenerated for each channel: MBC(L) rows come from the
@@ -181,6 +182,7 @@ def sweep_refractory(L_grid, sigma2: float, N: int, runs: int, seed: int,
     grid = sorted(int(L) for L in L_grid)
     if not grid:
         raise ValueError("sweep needs a nonempty L grid")
+    _check_runs(runs)
     if any(L < 1 for L in grid):
         raise ValueError("refractory sweep needs L >= 1")
     rows = []
@@ -188,7 +190,7 @@ def sweep_refractory(L_grid, sigma2: float, N: int, runs: int, seed: int,
         pseed = _point_seed(seed, idx)
         rows.append(_sweep_row(sigma2, L, f"mbc(order={L})", N,
                                lambda: gen_mbc(maxentropic_source(L), W, N, seed=pseed),
-                               runs, pseed, s0))
+                               runs, pseed))
     return rows
 
 

@@ -61,13 +61,13 @@ class MarkovSource:
         T[h, ((h << 1) | 1) & mask] += self.p1
         return T
 
-    def sample(self, n: int, rng: np.random.Generator, init="zeros") -> np.ndarray:
-        """Draw a length-n realization.
+    def sample(self, n: int, rng: np.random.Generator, init: int = 0) -> np.ndarray:
+        """Draw a length-n realization from the start history ``init``.
 
-        ``init`` selects the starting history: "zeros", "stationary", or an
-        explicit history integer. Bit t is ``u[t] < p1[h_t]`` for
-        ``u = rng.random(n)``, computed by a two-level chunked scan over
-        history integers: with K chunks of C = ceil(sqrt(n)) steps,
+        ``init`` is a history integer, 0 (all zeros) by default; a stationary
+        start is drawn by the caller, as ``gen_mbc`` does. Bit t is
+        ``u[t] < p1[h_t]`` for ``u = rng.random(n)``, computed by a two-level
+        chunked scan over history integers: with K chunks of C = ceil(sqrt(n)) steps,
 
         1. the H -> H history map of each of the first K-1 chunks (H = 2^r),
            for all chunks at once, one step at a time;
@@ -80,15 +80,9 @@ class MarkovSource:
         the generator draws are those of the step-by-step loop, so the output
         and the generator state afterwards are identical to it.
         """
-        if init == "zeros":
-            h = 0
-        elif init == "stationary":
-            pi = stationary_distribution(self)
-            h = int(rng.choice(self.num_histories, p=pi))
-        else:
-            h = int(init)
-            if not 0 <= h < self.num_histories:
-                raise ValueError(f"history {h} out of range for order {self.order}")
+        h = int(init)
+        if not 0 <= h < self.num_histories:
+            raise ValueError(f"history {h} out of range for order {self.order}")
         u = rng.random(n)
         if n == 0:
             return np.empty(0, dtype=np.int8)

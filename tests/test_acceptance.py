@@ -114,7 +114,7 @@ def test_criterion_4_upper_bound_property():
 def test_criterion_5_gbaa_noiseless_limit(L):
     t0 = time.perf_counter()
     channel = ChannelSpec(L, AwgnNoise(1e-4))
-    cfg = GbaaConfig(order=L, sample_len=50_000, max_iters=40, rate_tol=1e-6, seed=11)
+    cfg = GbaaConfig(order=L, sample_len=50_000, max_iters=40, seed=11)
     source, est, trace = gbaa_optimize(channel, cfg)
     elapsed = time.perf_counter() - t0
     target = noiseless_rate(L).rate

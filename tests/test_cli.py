@@ -69,7 +69,7 @@ NOISE = {"--sigma2": None, "--eps": None}
 OPTION_SURFACE = {
     "rate": {**OUTPUT, "--format": "json", "--L": None, "--a": None},
     "optimize": {**OUTPUT, "--L": None, **NOISE, "--order": None, "--iters": 30,
-                 "--len": 50_000, "--tol": 1e-6},
+                 "--len": 50_000},
     "genbook": {**OUTPUT, "--kind": None, "--L": None, "--source": None, **BOOK_OPTIONS},
     "simulate": {**OUTPUT, "--format": "json", "--book": None, "--L": None, **NOISE,
                  "--runs": 1000, "--confusion": False},
@@ -90,7 +90,7 @@ class TestOptionSurface:
                           if a.option_strings and a.dest != "help"}
                    for name, p in sub.choices.items()}
         assert surface == OPTION_SURFACE
-        assert sum(map(len, surface.values())) == 48
+        assert sum(map(len, surface.values())) == 47
 
     @pytest.mark.parametrize("argv", [
         ["optimize", "--L", "1", "--sigma2", "0.5", "--format", "csv"],
@@ -116,6 +116,14 @@ class TestFlagsAModeDoesNotRead:
         (["genbook", "--kind", "cbp", "--source", "/nope.txt"], "--source"),
         (["genbook", "--kind", "mindist", "--source", "/nope.txt"], "--source"),
         (["genbook", "--kind", "mbc", "--source", "/nope.txt", "--L", "1"], "--L"),
+        (["genbook", "--kind", "rcp", "--gap", "9"], "--gap"),
+        (["genbook", "--kind", "mbc", "--L", "1", "--gap", "9"], "--gap"),
+        (["genbook", "--kind", "mindist", "--gap", "9"], "--gap"),
+        (["genbook", "--kind", "cbp", "--weight", "5"], "--weight"),
+        (["genbook", "--kind", "rcp", "--trials", "5"], "--trials"),
+        (["sweep", "--sigma2-grid", "1", "--kinds", "rcp,mindist", "--gap", "9"], "--gap"),
+        (["sweep", "--sigma2-grid", "1", "--kinds", "mbc,cbp", "--weight", "5"], "--weight"),
+        (["sweep", "--sigma2-grid", "1", "--kinds", "cbp", "--trials", "5"], "--trials"),
     ])
     def test_exit_3_naming_the_flag(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, *argv, "--seed", "0")
@@ -242,6 +250,16 @@ class TestOptimize:
         src = load_source(source_file)
         assert src.order == 1
 
+    @pytest.mark.parametrize("length, eval_len", [(2000, 100_000), (26_000, 104_000)])
+    def test_reports_the_rescore_length(self, capsys, tmp_path, length, eval_len):
+        # rate and std_err come from the max(4 len, 1e5)-symbol re-score
+        code, out, _ = run_cli(capsys, "optimize", "--L", "1", "--eps", "0.1",
+                               "--iters", "1", "--len", str(length), "--seed", "2",
+                               "--out", str(tmp_path))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["sample_len"] == length and payload["eval_len"] == eval_len
+
     def test_requires_noise(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "optimize", "--L", "1", "--seed", "0",
                                "--out", str(tmp_path))
@@ -292,6 +310,12 @@ class TestSweep:
         code, out, err = run_cli(capsys, "sweep", "--L-grid", "1", "--sigma2", "-1",
                                  "--runs", "10", "--seed", "0")
         assert code == 3 and out == "" and "AWGN variance must be positive" in err
+
+    @pytest.mark.parametrize("grid", [["--sigma2-grid", "1", "--kinds", "rcp"],
+                                      ["--L-grid", "1", "--sigma2", "1"]])
+    def test_zero_runs_exits_3(self, capsys, grid):
+        code, out, err = run_cli(capsys, "sweep", *grid, "--runs", "0", "--seed", "0")
+        assert code == 3 and out == "" and "runs must be >= 1, got 0" in err
 
     def test_needs_exactly_one_grid(self, capsys):
         assert run_cli(capsys, "sweep", "--seed", "0")[0] == 3

@@ -206,19 +206,14 @@ class TestGbaaOptimize:
         assert src.order == 2
         assert est.rate == pytest.approx(noiseless_rate(1).rate, abs=0.02)
 
-    @pytest.mark.parametrize("max_iters, rate_tol, iterations", [
-        (3, 1e-6, 3),     # runs to max_iters
-        (6, 1.0, 2),      # any two rates are within 1 bit: stops on rate_tol
-    ])
-    def test_last_update_skipped(self, monkeypatch, max_iters, rate_tol, iterations):
+    def test_last_update_skipped(self, monkeypatch):
         # the update after the last iteration would never be used, so its
         # backward pass must not run
         calls = []
         backward = gbaa._scaled_backward
         monkeypatch.setattr(gbaa, "_scaled_backward",
                             lambda *a: calls.append(1) or backward(*a))
-        cfg = GbaaConfig(order=1, sample_len=2_000, max_iters=max_iters,
-                         rate_tol=rate_tol, seed=4)
+        cfg = GbaaConfig(order=1, sample_len=2_000, max_iters=3, seed=4)
         _, _, trace = gbaa_optimize(ChannelSpec(1, AwgnNoise(0.5)), cfg)
-        assert len(trace) == iterations
-        assert len(calls) == iterations - 1
+        assert len(trace) == 3
+        assert len(calls) == 2

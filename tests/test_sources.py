@@ -10,15 +10,9 @@ from p300channel.sources import (history_from_label, history_label, recurrent_cl
                                  stationary_distribution)
 
 
-def loop_sample(source, n, rng, init="zeros"):
+def loop_sample(source, n, rng, init=0):
     """Oracle: the step-by-step sampler, one symbol per Python step."""
-    if init == "zeros":
-        h = 0
-    elif init == "stationary":
-        pi = stationary_distribution(source)
-        h = int(rng.choice(source.num_histories, p=pi))
-    else:
-        h = int(init)
+    h = int(init)
     mask = source.num_histories - 1
     u = rng.random(n)
     p1 = source.p1
@@ -132,7 +126,7 @@ def test_multiple_recurrent_classes_detected():
 def test_sampling_frequency_and_support():
     src = MarkovSource.constrained(1, 0.4)
     rng = np.random.default_rng(12)
-    x = src.sample(100_000, rng, init="stationary")
+    x = src.sample(100_000, rng, init=0)
     ones = np.flatnonzero(x)
     assert np.diff(ones).min() >= 2            # no adjacent ones
     assert abs(x.mean() - 0.4 / 1.4) < 0.01    # stationary fraction a/(1+a)
@@ -140,8 +134,8 @@ def test_sampling_frequency_and_support():
 
 def test_sampling_determinism():
     src = MarkovSource(2, np.array([0.3, 0.1, 0.7, 0.2]))
-    a = src.sample(500, np.random.default_rng(9), init="zeros")
-    b = src.sample(500, np.random.default_rng(9), init="zeros")
+    a = src.sample(500, np.random.default_rng(9), init=0)
+    b = src.sample(500, np.random.default_rng(9), init=0)
     assert np.array_equal(a, b)
 
 
@@ -208,27 +202,19 @@ lengths = st.one_of(st.integers(0, 5000), chunk_edges.filter(lambda n: n <= 5000
 
 def _draw(fn, source, n, seed, init):
     rng = np.random.default_rng(seed)
-    try:
-        out = fn(source, n, rng, init)
-    except ReducibleChainError:
-        out = None
-    return out, rng.bit_generator.state
+    return fn(source, n, rng, init), rng.bit_generator.state
 
 
 @settings(max_examples=300, deadline=None)
 @given(source=markov_sources(), n=lengths, seed=st.integers(0, 2 ** 32 - 1),
-       init=st.one_of(st.sampled_from(["zeros", "stationary"]), st.integers(0, 15)))
+       init=st.integers(0, 15))
 def test_chunked_sample_matches_loop(source, n, seed, init):
-    if not isinstance(init, str):
-        init %= source.num_histories
+    init %= source.num_histories
     got, got_state = _draw(MarkovSource.sample, source, n, seed, init)
     want, want_state = _draw(loop_sample, source, n, seed, init)
     assert got_state == want_state
-    if want is None:
-        assert got is None
-    else:
-        assert got.dtype == np.int8 and got.shape == (n,)
-        assert np.array_equal(got, want)
+    assert got.dtype == np.int8 and got.shape == (n,)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 100, 101, 10_007, 100_000])
@@ -237,8 +223,8 @@ def test_chunked_sample_matches_loop_long(n, order):
     rng = np.random.default_rng(order)
     source = MarkovSource(order, rng.random(1 << order))
     a, b = np.random.default_rng(n), np.random.default_rng(n)
-    assert np.array_equal(source.sample(n, a, init="stationary"),
-                          loop_sample(source, n, b, init="stationary"))
+    h0 = source.num_histories - 1
+    assert np.array_equal(source.sample(n, a, init=h0), loop_sample(source, n, b, init=h0))
     assert a.bit_generator.state == b.bit_generator.state
 
 
