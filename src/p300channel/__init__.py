@@ -7,8 +7,8 @@ channel's information rates, optimizes Markov input laws, generates flash
 codebooks, and scores them by Monte Carlo spelling simulation.
 """
 
-from .channel import (AwgnNoise, BinarySymmetric, ChannelSpec, ChannelState, GROUND,
-                      apply_noise, build_trellis, fsm_response, refractory)
+from .channel import (AwgnNoise, BinarySymmetric, ChannelSpec, apply_noise, build_trellis,
+                      fsm_response)
 from .codebooks import (Codebook, export_codebook, gen_cbp, gen_mbc,
                         gen_min_dist, gen_rcp, import_codebook, min_hamming_distance)
 from .gbaa import GbaaConfig, RateEstimate, estimate_rate, gbaa_optimize
@@ -24,8 +24,8 @@ from .sources import (MarkovSource, ReducibleChainError, load_source, save_sourc
 __version__ = "0.1.0"
 
 __all__ = [
-    "AwgnNoise", "BinarySymmetric", "ChannelSpec", "ChannelState", "GROUND",
-    "apply_noise", "build_trellis", "fsm_response", "refractory",
+    "AwgnNoise", "BinarySymmetric", "ChannelSpec", "apply_noise", "build_trellis",
+    "fsm_response",
     "Codebook", "export_codebook", "gen_cbp", "gen_mbc",
     "gen_min_dist", "gen_rcp", "import_codebook", "min_hamming_distance",
     "GbaaConfig", "RateEstimate", "estimate_rate", "gbaa_optimize",

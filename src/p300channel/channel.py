@@ -13,43 +13,8 @@ import numpy as np
 
 
 # ---------------------------------------------------------------------------
-# States and channel parameters
+# Channel parameters
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ChannelState:
-    """Gate state: ``level`` 0 is the ground state, ``level`` l in 1..L is R_l.
-
-    R_1 means "the last input 1 arrived one step ago"; zeros advance the
-    level until R_L releases back to ground.
-    """
-
-    level: int = 0
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValueError(f"state level must be >= 0, got {self.level}")
-
-
-GROUND = ChannelState(0)
-
-
-def state_history(s0: ChannelState, width: int) -> int:
-    """History integer (newest bit in the LSB) of the pre-history that ``s0`` implies.
-
-    R_l stands for a lone 1 input l steps back, as in :func:`fsm_response`,
-    so it is bit l - 1; a bit beyond the ``width`` newest inputs is dropped.
-    GROUND is the all-zero history.
-    """
-    return (1 << (s0.level - 1)) & ((1 << width) - 1) if s0.level else 0
-
-
-def refractory(level: int) -> ChannelState:
-    """The refractory state R_level, level in 1..L."""
-    if level < 1:
-        raise ValueError("refractory level starts at 1")
-    return ChannelState(level)
-
 
 def binary_entropy(p: float) -> float:
     """H_b(p) in bits, with the endpoint values defined as 0 by continuity."""
@@ -181,28 +146,20 @@ def as_bits(x) -> np.ndarray:
 # The gate FSM
 # ---------------------------------------------------------------------------
 
-def fsm_response(x, L: int, s0: ChannelState = GROUND) -> np.ndarray:
-    """Vectorized closed form of the gate output.
+def fsm_response(x, L: int) -> np.ndarray:
+    """Vectorized closed form of the gate output from ground.
 
     z_n = 1 iff x_n = 1 and no 1 appears in the previous L inputs, where the
-    pre-history implied by ``s0`` fills positions before the sequence start.
-    Accepts a single sequence or a stack of row sequences.
+    inputs before the sequence start count as 0. Accepts a single sequence or
+    a stack of row sequences.
     """
     bits = as_bits(x)
     single = bits.ndim == 1
     rows = np.atleast_2d(bits)
     if L < 0:
         raise ValueError(f"L must be >= 0, got {L}")
-    if s0.level > L:
-        raise ValueError(f"state R_{s0.level} does not exist for L={L}")
-    if L == 0:
-        return rows[0].copy() if single else rows.copy()
     n = rows.shape[1]
-    pre = np.zeros((rows.shape[0], L), dtype=np.int8)
-    if s0.level >= 1:
-        # S_0 = R_l corresponds to a lone pre-history 1 located l steps back.
-        pre[:, L - s0.level] = 1
-    padded = np.hstack([pre, rows])
+    padded = np.hstack([np.zeros((rows.shape[0], L), dtype=np.int8), rows])
     blocked = np.zeros_like(rows)
     for k in range(L):
         blocked |= padded[:, k:k + n]

@@ -57,15 +57,14 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _flatten(payload: dict) -> dict:
-    """The scalar fields of a payload, nested dicts dot-flattened."""
+def _flatten(payload: dict, prefix: str = "") -> dict:
+    """The scalar fields of a payload, nested dicts dot-flattened at every depth."""
     flat = {}
     for key, value in payload.items():
         if isinstance(value, dict):
-            flat.update({f"{key}.{k}": v for k, v in value.items()
-                         if not isinstance(v, (dict, list))})
+            flat.update(_flatten(value, f"{prefix}{key}."))
         elif not isinstance(value, list):
-            flat[key] = value
+            flat[prefix + key] = value
     return flat
 
 
@@ -212,6 +211,8 @@ def cmd_genbook(args) -> int:
 
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
+    if args.confusion and args.format == "csv":
+        raise ValueError("--confusion needs --format json: a CSV row has no cell for the matrix")
     book = import_codebook(args.book)
     channel = ChannelSpec(args.L, _noise_from_args(args))
     cfg = SimConfig(book, channel, runs=args.runs, seed=seed,

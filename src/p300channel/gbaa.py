@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (ChannelSpec, ChannelState, GROUND, Trellis, build_trellis, fsm_response,
-                      apply_noise, state_history)
+from .channel import ChannelSpec, Trellis, build_trellis, fsm_response, apply_noise
 from .rates import ConvergenceError, perron_pair
 from .sources import MarkovSource, _chunk_len, stationary_distribution
 
@@ -130,16 +129,17 @@ def _first_collapse(scale: np.ndarray) -> int | None:
     return int(bad[0]) if bad.size else None
 
 
-def _scaled_forward(trellis: Trellis, prob: np.ndarray, f: np.ndarray, h0: int = 0,
+def _scaled_forward(trellis: Trellis, prob: np.ndarray, f: np.ndarray,
                     keep_alphas: bool = True):
     """Normalized forward recursion by the chunked scan of :func:`_chunked_scan`.
 
-    alpha_{t+1}[j] ∝ sum over the edges e into j of alpha_t[from(e)] p_e f[t, z_e].
+    alpha_{t+1}[j] ∝ sum over the edges e into j of alpha_t[from(e)] p_e f[t, z_e],
+    from the all-zero history.
     Returns (alphas, per-step log2 scale factors); alphas is None unless
     ``keep_alphas``, so a rate estimate holds no (n+1, S) table.
     """
     v0 = np.zeros(trellis.num_states)
-    v0[h0] = 1.0
+    v0[0] = 1.0
     e = trellis.in_edges
     alphas, c = _chunked_scan(f, v0, trellis.edge_from[e], prob[e], trellis.edge_z[e],
                               keep_alphas)
@@ -166,17 +166,9 @@ def _scaled_backward(trellis: Trellis, prob: np.ndarray, f: np.ndarray) -> np.nd
     return rev[::-1]
 
 
-def _simulate_block(source: MarkovSource, channel: ChannelSpec, n: int,
-                    rng: np.random.Generator, s0: ChannelState):
-    x = source.sample(n, rng, init=state_history(s0, source.order))
-    z = fsm_response(x, channel.refractory_len, s0)
-    y = apply_noise(z, channel.noise, rng)
-    return x, z, y
-
-
 def _forward_rate(trellis: Trellis, source: MarkovSource, channel: ChannelSpec, n: int,
-                  rng: np.random.Generator, s0: ChannelState, keep_alphas: bool):
-    """Simulate a length-n block from ``s0`` and run the forward scan over it.
+                  rng: np.random.Generator, keep_alphas: bool):
+    """Simulate a length-n block from ground and run the forward scan over it.
 
     (1/n)(-log2 p(y_1^n)) comes from the scan's scale factors and the
     conditional term from the law's closed form; their difference is clipped
@@ -184,11 +176,11 @@ def _forward_rate(trellis: Trellis, source: MarkovSource, channel: ChannelSpec, 
     rate, its standard error, and the edge probabilities, emission table and
     forward vectors (None unless ``keep_alphas``) that a backward pass needs.
     """
-    _, _, y = _simulate_block(source, channel, n, rng, s0)
+    y = apply_noise(fsm_response(source.sample(n, rng), channel.refractory_len),
+                    channel.noise, rng)
     prob = _edge_prob(trellis, source)
     f = channel.noise.emission(np.asarray(y, dtype=np.float64))
-    alphas, log2c = _scaled_forward(trellis, prob, f, h0=state_history(s0, trellis.memory),
-                                    keep_alphas=keep_alphas)
+    alphas, log2c = _scaled_forward(trellis, prob, f, keep_alphas=keep_alphas)
     rate = float(np.clip(-log2c.mean() - channel.noise.cond_entropy(), 0.0, 1.0))
     n_blocks = min(20, n)
     ends = np.linspace(0, n, n_blocks + 1, dtype=int)
@@ -197,20 +189,19 @@ def _forward_rate(trellis: Trellis, source: MarkovSource, channel: ChannelSpec, 
     return rate, std_err, prob, f, alphas
 
 
-def estimate_rate(source: MarkovSource, channel: ChannelSpec, n: int, seed: int,
-                  s0: ChannelState = GROUND) -> RateEstimate:
+def estimate_rate(source: MarkovSource, channel: ChannelSpec, n: int, seed: int) -> RateEstimate:
     """Estimate the information rate of ``source`` over ``channel`` in bits/flash.
 
     One length-n realization is scored by :func:`_forward_rate`, keeping no
     per-step state vectors. The source, the gate and the forward pass all
-    start from the pre-history that ``s0`` implies (``state_history``).
+    start from the all-zero history, the gate's ground state.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     stationary_distribution(source)   # rejects a chain with several recurrent classes
     trellis = build_trellis(source.order, channel.refractory_len)
     rate, std_err, *_ = _forward_rate(trellis, source, channel, n, np.random.default_rng(seed),
-                                      s0, keep_alphas=False)
+                                      keep_alphas=False)
     return RateEstimate(rate=rate, std_err=std_err, sample_len=n)
 
 
@@ -288,7 +279,7 @@ def gbaa_optimize(channel: ChannelSpec, cfg: GbaaConfig
     trace: list[float] = []
     for _ in range(cfg.max_iters):
         rate, _, prob, f, alphas = _forward_rate(trellis, source, channel, cfg.sample_len, rng,
-                                                 GROUND, keep_alphas=True)
+                                                 keep_alphas=True)
         iterates.append(source)
         trace.append(rate)
         if len(trace) == cfg.max_iters:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import AwgnNoise, ChannelSpec, ChannelState, GROUND, binary_entropy, state_history
+from .channel import AwgnNoise, ChannelSpec, binary_entropy
 from .sources import MarkovSource, stationary_distribution
 
 
@@ -150,40 +150,34 @@ def entropy_rate(source: MarkovSource) -> float:
 MAX_BRUTE_FORCE_N = 14
 
 
-def brute_force_mi(source: MarkovSource, channel: ChannelSpec, n: int,
-                   s0: ChannelState = GROUND) -> float:
-    """Exact I(X_1^n; Y_1^n | S_0 = s0) / n for binary-output channels.
+def brute_force_mi(source: MarkovSource, channel: ChannelSpec, n: int) -> float:
+    """Exact I(X_1^n; Y_1^n | S_0 = ground) / n for binary-output channels.
 
     Enumerates all 2^n inputs with their Markov probabilities and all
     reachable gate outputs; the source and the gate both start from the
-    pre-history that ``s0`` implies (all zeros for GROUND). The output
-    alphabet must be finite, so AWGN is rejected. A test instrument: n is
-    capped at 14.
+    all-zero history. The output alphabet must be finite, so AWGN is
+    rejected. A test instrument: n is capped at 14.
     """
     if isinstance(channel.noise, AwgnNoise):
         raise ValueError("brute_force_mi needs a finite output alphabet; AWGN rejected")
     if not 1 <= n <= MAX_BRUTE_FORCE_N:
         raise ValueError(f"n must lie in 1..{MAX_BRUTE_FORCE_N}, got {n}")
     L = channel.refractory_len
-    if s0.level > L:
-        raise ValueError(f"state R_{s0.level} does not exist for L={L}")
-
     rmask = source.num_histories - 1
     lmask = (1 << L) - 1
     xs = np.arange(1 << n, dtype=np.int64)
     probs = np.ones(1 << n)
-    h = np.full(1 << n, state_history(s0, source.order), dtype=np.int64)
-    hz = np.full(1 << n, state_history(s0, L), dtype=np.int64)
+    h = np.zeros(1 << n, dtype=np.int64)
+    hz = np.zeros(1 << n, dtype=np.int64)
     zints = np.zeros(1 << n, dtype=np.int64)
     for t in range(n):
         bit = (xs >> (n - 1 - t)) & 1
         p1h = source.p1[h]
         probs *= np.where(bit == 1, p1h, 1.0 - p1h)
-        z = bit & (hz == 0) if L > 0 else bit
+        z = bit & (hz == 0)
         zints = (zints << 1) | z
         h = ((h << 1) | bit) & rmask
-        if L > 0:
-            hz = ((hz << 1) | bit) & lmask
+        hz = ((hz << 1) | bit) & lmask
 
     uz, inv = np.unique(zints, return_inverse=True)
     pz = np.bincount(inv, weights=probs, minlength=uz.size)

@@ -16,6 +16,8 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion (z = 1.96), within [0, 1]."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes must lie in 0..{trials}, got {successes}")
     z = 1.96
     p = successes / trials
     denom = 1.0 + z * z / trials

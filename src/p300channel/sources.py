@@ -32,7 +32,7 @@ class MarkovSource:
             raise ValueError(
                 f"need {1 << self.order} history probabilities, got shape {p1.shape}"
             )
-        if np.any(p1 < 0.0) or np.any(p1 > 1.0):
+        if not np.all((p1 >= 0.0) & (p1 <= 1.0)):   # NaN fails too
             raise ValueError("transition probabilities must lie in [0, 1]")
         object.__setattr__(self, "p1", p1)
 
@@ -61,17 +61,16 @@ class MarkovSource:
         T[h, ((h << 1) | 1) & mask] += self.p1
         return T
 
-    def sample(self, n: int, rng: np.random.Generator, init: int = 0) -> np.ndarray:
-        """Draw a length-n realization from the start history ``init``.
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw a length-n realization from the all-zero history.
 
-        ``init`` is a history integer, 0 (all zeros) by default; a stationary
-        start is drawn by the caller, as ``gen_mbc`` does. Bit t is
+        A stationary start goes through :meth:`_sweep`, as ``gen_mbc`` does. Bit t is
         ``u[t] < p1[h_t]`` for ``u = rng.random(n)``, computed by a two-level
         chunked scan over history integers: with K chunks of C = ceil(sqrt(n)) steps,
 
         1. the H -> H history map of each of the first K-1 chunks (H = 2^r),
            for all chunks at once, one step at a time;
-        2. a K-step walk of those maps from the start history, which gives
+        2. a K-step walk of those maps from history 0, which gives
            the history at every chunk boundary;
         3. a C-step sweep inside all chunks at once from their boundary
            histories, which draws every bit.
@@ -80,9 +79,6 @@ class MarkovSource:
         the generator draws are those of the step-by-step loop, so the output
         and the generator state afterwards are identical to it.
         """
-        h = int(init)
-        if not 0 <= h < self.num_histories:
-            raise ValueError(f"history {h} out of range for order {self.order}")
         u = rng.random(n)
         if n == 0:
             return np.empty(0, dtype=np.int8)
@@ -96,7 +92,7 @@ class MarkovSource:
         M = np.broadcast_to(np.arange(H), (K - 1, H))
         for i in range(C):
             M = ((M << 1) | (U[:-1, i, None] < self.p1[M])) & (H - 1)
-        bounds = [h]
+        bounds = [0]
         for m in M.tolist():
             bounds.append(m[bounds[-1]])
         return self._sweep(U, np.array(bounds)).ravel()[:n]
@@ -193,14 +189,21 @@ def load_source(path) -> MarkovSource:
     order = int(raw[0].split("=", 1)[1])
     if order < 1:
         raise ValueError(f"{path}: order must be >= 1, got {order}")
-    p1 = np.full(1 << order, np.nan)
+    count = len(raw) - 1
+    # bit lengths are compared first, so a huge order never builds 2^order
+    if count.bit_length() != order + 1 or count != 1 << order:
+        problem = "missing" if count.bit_length() <= order else "extra"
+        raise ValueError(f"{path}: order {order} needs 2^{order} history lines, got {count} "
+                         f"({problem} histories)")
+    p1 = np.empty(count)
+    seen = set()
     for line in raw[1:]:
         label, _, prob = line.partition(",")
         h = history_from_label(label)
         if len(label) != order:
             raise ValueError(f"{path}: history {label!r} does not match order {order}")
+        if h in seen:
+            raise ValueError(f"{path}: history {label} listed twice")
+        seen.add(h)
         p1[h] = float(prob)
-    if np.isnan(p1).any():
-        missing = history_label(int(np.flatnonzero(np.isnan(p1))[0]), order)
-        raise ValueError(f"{path}: missing probability for history {missing}")
     return MarkovSource(order, p1)

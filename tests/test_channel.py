@@ -7,67 +7,65 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from gate_oracles import fsm_run, fsm_step, trellis_walk
-from p300channel import (AwgnNoise, BinarySymmetric, ChannelSpec, ChannelState, GROUND,
-                         apply_noise, build_trellis, fsm_response, refractory)
-from p300channel.channel import as_bits, state_history
+from p300channel import (AwgnNoise, BinarySymmetric, ChannelSpec, apply_noise, build_trellis,
+                         fsm_response)
+from p300channel.channel import as_bits
 
 
 class TestFsmStep:
     def test_one_from_ground_fires(self):
-        assert fsm_step(GROUND, 1, L=2) == (refractory(1), 1)
+        assert fsm_step(0, 1, L=2) == (1, 1)
 
     def test_one_in_refractory_is_gated(self):
-        assert fsm_step(refractory(1), 1, L=2) == (refractory(1), 0)
+        assert fsm_step(1, 1, L=2) == (1, 0)
 
     def test_deepest_refractory_releases(self):
-        assert fsm_step(refractory(2), 0, L=2) == (GROUND, 0)
+        assert fsm_step(2, 0, L=2) == (0, 0)
 
     def test_full_case_table_L3(self):
         # zeros: G->G, R1->R2, R2->R3, R3->G; ones: always R1
-        assert fsm_step(GROUND, 0, 3) == (GROUND, 0)
-        assert fsm_step(refractory(1), 0, 3) == (refractory(2), 0)
-        assert fsm_step(refractory(2), 0, 3) == (refractory(3), 0)
-        assert fsm_step(refractory(3), 0, 3) == (GROUND, 0)
-        for s in (GROUND, refractory(1), refractory(2), refractory(3)):
+        assert fsm_step(0, 0, 3) == (0, 0)
+        assert fsm_step(1, 0, 3) == (2, 0)
+        assert fsm_step(2, 0, 3) == (3, 0)
+        assert fsm_step(3, 0, 3) == (0, 0)
+        for s in (0, 1, 2, 3):
             nxt, z = fsm_step(s, 1, 3)
-            assert nxt == refractory(1)
-            assert z == (1 if s is GROUND else 0)
+            assert nxt == 1
+            assert z == (1 if s == 0 else 0)
 
     def test_memoryless_limit(self):
-        assert fsm_step(GROUND, 1, L=0) == (GROUND, 1)
-        assert fsm_step(GROUND, 0, L=0) == (GROUND, 0)
+        assert fsm_step(0, 1, L=0) == (0, 1)
+        assert fsm_step(0, 0, L=0) == (0, 0)
 
     def test_rejects_overdeep_state(self):
         with pytest.raises(ValueError):
-            fsm_step(refractory(3), 0, L=2)
+            fsm_step(3, 0, L=2)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            fsm_step(GROUND, 2, L=1)
+            fsm_step(0, 2, L=1)
         with pytest.raises(ValueError):
-            ChannelState(-1)
-        with pytest.raises(ValueError):
-            refractory(0)
+            fsm_step(-1, 0, L=2)
 
 
 class TestFsmRun:
     def test_hand_trace(self):
-        z, states = fsm_run([1, 1, 0, 1], GROUND, L=1)
+        z, states = fsm_run([1, 1, 0, 1], L=1)
         assert z.tolist() == [1, 0, 0, 1]
-        assert states == [refractory(1), refractory(1), GROUND, refractory(1)]
+        assert states == [1, 1, 0, 1]
 
     @pytest.mark.parametrize("L", [0, 1, 2, 3])
     def test_all_zero_input(self, L):
-        z, _ = fsm_run([0, 0, 0], GROUND, L)
+        z, _ = fsm_run([0, 0, 0], L)
         assert z.tolist() == [0, 0, 0]
 
     def test_second_one_in_refractory(self):
-        z, _ = fsm_run([1, 0, 1], GROUND, L=2)
+        z, _ = fsm_run([1, 0, 1], L=2)
         assert z.tolist() == [1, 0, 0]
 
     def test_rejects_nonbinary(self):
         with pytest.raises(ValueError):
-            fsm_run([0, 1, 2], GROUND, 1)
+            fsm_run([0, 1, 2], 1)
 
 
 class TestClosedFormEquivalence:
@@ -76,7 +74,7 @@ class TestClosedFormEquivalence:
         # z_n = 1 iff x_n = 1 and x_{n-L}..x_{n-1} are all zero, ground start
         for n in range(1, 13):
             for bits in itertools.product((0, 1), repeat=n):
-                z_run, _ = fsm_run(bits, GROUND, L)
+                z_run, _ = fsm_run(bits, L)
                 ref = [
                     int(bits[i] == 1 and not any(bits[max(0, i - L):i]))
                     for i in range(n)
@@ -88,16 +86,8 @@ class TestClosedFormEquivalence:
         for L in range(4):
             for _ in range(30):
                 x = rng.integers(0, 2, size=rng.integers(1, 40))
-                z_run, _ = fsm_run(x, GROUND, L)
+                z_run, _ = fsm_run(x, L)
                 assert np.array_equal(fsm_response(x, L), z_run)
-
-    def test_refractory_start_matches_fold(self):
-        rng = np.random.default_rng(4)
-        for L in (1, 2, 3):
-            for level in range(1, L + 1):
-                x = rng.integers(0, 2, size=20)
-                z_run, _ = fsm_run(x, refractory(level), L)
-                assert np.array_equal(fsm_response(x, L, refractory(level)), z_run)
 
     def test_row_stack(self):
         rows = np.array([[1, 1, 0, 1], [1, 0, 1, 0]])
@@ -109,20 +99,19 @@ class TestClosedFormEquivalence:
 def gate_cases(draw):
     L = draw(st.integers(0, 4))
     r = draw(st.sampled_from([max(L, 1), L + 1]))
-    level = draw(st.integers(0, L))
     x = draw(st.lists(st.integers(0, 1), min_size=0, max_size=40))
-    return np.array(x, dtype=np.int8), L, r, refractory(level) if level else GROUND
+    return np.array(x, dtype=np.int8), L, r
 
 
 class TestGateRoutesProperty:
     @settings(max_examples=300, deadline=None)
     @given(case=gate_cases())
     def test_trellis_walk_closed_form_and_fold_agree(self, case):
-        x, L, r, s0 = case
+        x, L, r = case
         trellis = build_trellis(r, L)
-        walk = trellis_walk(trellis, x, start=state_history(s0, trellis.memory))
-        closed = fsm_response(x, L, s0)
-        fold, _ = fsm_run(x, s0, L)
+        walk = trellis_walk(trellis, x)
+        closed = fsm_response(x, L)
+        fold, _ = fsm_run(x, L)
         assert walk.tolist() == closed.tolist() == fold.tolist()
 
 
@@ -132,7 +121,7 @@ class TestRllProperty:
         rng = np.random.default_rng(11)
         for _ in range(100):
             x = rng.integers(0, 2, size=60)
-            z, _ = fsm_run(x, GROUND, L)
+            z, _ = fsm_run(x, L)
             ones = np.flatnonzero(z)
             if ones.size > 1:
                 assert np.diff(ones).min() >= L + 1
@@ -239,7 +228,7 @@ class TestTrellis:
             t = build_trellis(r, L)
             for _ in range(25):
                 x = rng.integers(0, 2, size=30)
-                z_run, _ = fsm_run(x, GROUND, L)
+                z_run, _ = fsm_run(x, L)
                 assert np.array_equal(trellis_walk(t, x), z_run)
 
     @pytest.mark.parametrize("r,L", [(1, 0), (1, 1), (2, 2), (2, 3), (3, 2)])

@@ -159,6 +159,19 @@ class TestGenbookSimulate:
     def test_mbc_needs_L_or_source(self, capsys):
         assert run_cli(capsys, "genbook", "--kind", "mbc", "--seed", "0")[0] == 3
 
+    @pytest.mark.parametrize("text, message", [
+        ("# order=1\n0,0.2\n1,0.5\n0,0.9\n", "got 3 (extra histories)"),
+        ("# order=2\n00,0.2\n01,0.5\n01,0.9\n11,0.1\n", "history 01 listed twice"),
+        # 2^30 probabilities would take 8 GiB; the line count is checked first
+        ("# order=30\n0,0.2\n1,0.5\n", "got 2 (missing histories)"),
+    ])
+    def test_mbc_source_file_is_checked_before_use(self, capsys, tmp_path, text, message):
+        path = tmp_path / "src.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "genbook", "--kind", "mbc", "--source", str(path),
+                                 "--seed", "0")
+        assert code == 3 and out == "" and message in err
+
     def test_cbp_needs_the_6x6_grid(self, capsys):
         code, _, err = run_cli(capsys, "genbook", "--kind", "cbp", "--W", "35", "--seed", "0")
         assert code == 3 and "W=36" in err
@@ -213,12 +226,17 @@ class TestGenbookSimulate:
         book = tmp_path / "b.csv"
         run_cli(capsys, "genbook", "--kind", "rcp", "--N", "12", "--seed", "2",
                 "--out", str(book))
-        code, out, _ = run_cli(capsys, "simulate", "--book", str(book), "--L", "1",
-                               "--sigma2", "2.0", "--runs", "100", "--seed", "4",
-                               "--format", "csv")
+        argv = ["simulate", "--book", str(book), "--L", "1", "--sigma2", "2.0",
+                "--runs", "100", "--seed", "4", "--format", "csv"]
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        header = out.split("\n")[0].split(",")
+        header, row = (line.split(",") for line in out.split("\n")[:2])
         assert {"accuracy", "ci_lo", "ci_hi", "runs", "seed"} <= set(header)
+        cells = dict(zip(header, row))
+        assert cells["config.noise.kind"] == "awgn" and float(cells["config.noise.sigma2"]) == 2.0
+        # the confusion matrix has no cell in a CSV row, so the pair is refused
+        code, out, err = run_cli(capsys, *argv, "--confusion")
+        assert code == 3 and out == "" and "--confusion" in err
 
     def test_simulate_confusion_flag(self, capsys, tmp_path):
         book = tmp_path / "b.csv"

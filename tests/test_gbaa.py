@@ -5,12 +5,11 @@ import pytest
 
 from p300channel import gbaa
 from p300channel import (AwgnNoise, BinarySymmetric, ChannelSpec, GbaaConfig,
-                         MarkovSource, binary_entropy, brute_force_mi, build_trellis, entropy_rate,
-                         estimate_rate, fixed_point_a, gbaa_optimize,
+                         MarkovSource, apply_noise, binary_entropy, brute_force_mi, build_trellis,
+                         entropy_rate, estimate_rate, fixed_point_a, fsm_response, gbaa_optimize,
                          maxentropic_source, noiseless_rate)
 from gate_oracles import fsm_run
-from p300channel.channel import GROUND, refractory, state_history
-from p300channel.gbaa import _edge_prob, _scaled_forward, _simulate_block
+from p300channel.gbaa import _edge_prob, _scaled_forward
 
 GOLDEN_RATE = 0.6942419136306174
 
@@ -72,72 +71,46 @@ class TestEstimateRate:
                           n=1000, seed=0)
 
 
-def _enumerated_log2_py(source, L, eps, y, s0):
-    """log2 p(y | S_0 = s0) summed over every input, by the gate fold.
-
-    The pre-history is written out as bits: R_l is a lone 1 l steps back.
-    """
-    r, n = source.order, y.size
-    pre = [0] * max(r, L)
-    if s0.level:
-        pre[-s0.level] = 1
-    h0 = int("".join(map(str, pre[-r:])), 2)
+def _enumerated_log2_py(source, L, eps, y):
+    """log2 p(y) from ground, summed over every input, by the gate fold."""
+    n = y.size
     total = 0.0
     for bits in itertools.product((0, 1), repeat=n):
-        p, h = 1.0, h0
+        p, h = 1.0, 0
         for b in bits:
             p *= source.p1[h] if b else 1.0 - source.p1[h]
             h = ((h << 1) | b) & (source.num_histories - 1)
-        z, _ = fsm_run(np.array(bits), s0, L)
+        z, _ = fsm_run(np.array(bits), L)
         d = int(np.sum(z != y))
         total += p * eps ** d * (1.0 - eps) ** (n - d)
     return float(np.log2(total))
 
 
 class TestInitialState:
-    def test_state_history(self):
-        assert state_history(GROUND, 3) == 0
-        assert [state_history(refractory(l), 3) for l in (1, 2, 3)] == [1, 2, 4]
-        assert state_history(refractory(2), 1) == 0   # the 1 lies beyond the window
-
     @pytest.mark.parametrize("L, r", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)])
-    def test_forward_matches_enumeration_from_every_state(self, L, r):
+    def test_forward_matches_enumeration_from_ground(self, L, r):
         eps = 0.1
         rng = np.random.default_rng(10 * L + r)
         source = MarkovSource(r, rng.uniform(0.1, 0.9, 1 << r))
         channel = ChannelSpec(L, BinarySymmetric(eps))
         tr = build_trellis(r, L)
-        for s0 in [GROUND] + [refractory(l) for l in range(1, L + 1)]:
-            y = rng.integers(0, 2, 9).astype(np.int8)
-            f = channel.noise.emission(y.astype(np.float64))
-            _, log2c = _scaled_forward(tr, _edge_prob(tr, source), f,
-                                       h0=state_history(s0, tr.memory))
-            want = _enumerated_log2_py(source, L, eps, y, s0)
-            assert log2c.sum() == pytest.approx(want, abs=1e-12)
+        y = rng.integers(0, 2, 9).astype(np.int8)
+        f = channel.noise.emission(y.astype(np.float64))
+        _, log2c = _scaled_forward(tr, _edge_prob(tr, source), f)
+        assert log2c.sum() == pytest.approx(_enumerated_log2_py(source, L, eps, y), abs=1e-12)
 
     @pytest.mark.parametrize("L, r", [(1, 1), (2, 2), (2, 3)])
     def test_estimate_rate_starts_source_gate_and_forward_at_s0(self, L, r):
+        # S_0 is ground: the block estimate_rate scores is the one drawn here
         eps, n = 0.02, 10
         source = MarkovSource(r, np.random.default_rng(r).uniform(0.3, 0.7, 1 << r))
         channel = ChannelSpec(L, BinarySymmetric(eps))
-        for level in range(L + 1):
-            s0 = refractory(level) if level else GROUND
-            for seed in range(3):
-                _, _, y = _simulate_block(source, channel, n, np.random.default_rng(seed), s0)
-                want = -_enumerated_log2_py(source, L, eps, y, s0) / n - binary_entropy(eps)
-                est = estimate_rate(source, channel, n, seed, s0=s0)
-                assert est.rate == pytest.approx(np.clip(want, 0.0, 1.0), abs=1e-12)
-
-    def test_source_sample_starts_at_s0_history(self):
-        # from history 1 the constrained source cannot emit a 1 next
-        source = MarkovSource.constrained(1, 0.9)
-        channel = ChannelSpec(1)
-        firsts = [_simulate_block(source, channel, 5, np.random.default_rng(s),
-                                  refractory(1))[0][0] for s in range(40)]
-        assert max(firsts) == 0
-        grounds = [_simulate_block(source, channel, 5, np.random.default_rng(s),
-                                   GROUND)[0][0] for s in range(40)]
-        assert max(grounds) == 1
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            y = apply_noise(fsm_response(source.sample(n, rng), L), channel.noise, rng)
+            want = -_enumerated_log2_py(source, L, eps, y) / n - binary_entropy(eps)
+            est = estimate_rate(source, channel, n, seed)
+            assert est.rate == pytest.approx(np.clip(want, 0.0, 1.0), abs=1e-12)
 
 
 class TestForwardRecursion:

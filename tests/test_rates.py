@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from p300channel import (BinarySymmetric, ChannelSpec, GROUND, MarkovSource,
+from p300channel import (BinarySymmetric, ChannelSpec, MarkovSource,
                          binary_entropy, brute_force_mi, constrained_family_rate,
                          entropy_rate, fixed_point_a, maxentropic_source,
                          noiseless_rate, perron_pair, rll_adjacency,
                          rll_capacity_perron)
-from p300channel.channel import AwgnNoise, build_trellis, refractory
+from p300channel.channel import AwgnNoise, build_trellis
 from p300channel.gbaa import _maxentropic_update
 from p300channel.sources import ReducibleChainError
 
@@ -233,16 +233,6 @@ class TestBruteForceMi:
                 assert mi <= ceiling + 1e-12
                 if L == 1:
                     assert mi <= noiseless_rate(L).rate + 0.02
-
-    def test_source_starts_at_the_s0_history(self):
-        # from R_1 the constrained source's history already holds the 1, so its
-        # first L inputs are 0 and the gate blocks nothing: n H = (n-L) H_{n-L}
-        for L, a in ((1, 0.3), (2, 0.25)):
-            src = MarkovSource.constrained(L, a)
-            for n in (5, 10):
-                mi = brute_force_mi(src, ChannelSpec(L), n, s0=refractory(1))
-                want = (n - L) * exact_input_entropy(src, n - L) / n
-                assert mi == pytest.approx(want, abs=1e-12)
 
     def test_bsc_between_zero_and_noiseless(self):
         src = maxentropic_source(1)

@@ -20,11 +20,11 @@ from p300channel.sources import _chunk_len
 TOL = 1e-12
 
 
-def loop_forward(tr, ep, f, h0=0):
+def loop_forward(tr, ep, f):
     n = f.shape[0]
     S = tr.num_states
     alphas = np.zeros((n + 1, S))
-    alphas[0, h0] = 1.0
+    alphas[0, 0] = 1.0
     log2c = np.empty(n)
     like = f[:, tr.edge_z]
     ef, et = tr.edge_from, tr.edge_to

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
-from p300channel import (AwgnNoise, BinarySymmetric, ChannelSpec, Codebook, GROUND,
+from p300channel import (AwgnNoise, BinarySymmetric, ChannelSpec, Codebook,
                          SimConfig, fsm_response, gen_mbc, gen_rcp,
                          map_decode, maxentropic_source, run_experiment,
                          wilson_interval)
@@ -79,6 +79,11 @@ class TestWilson:
         w1 = np.diff(wilson_interval(50, 100))
         w2 = np.diff(wilson_interval(5000, 10000))
         assert w2 < w1
+
+    @pytest.mark.parametrize("successes", [-1, 4])
+    def test_rejects_successes_outside_the_trials(self, successes):
+        with pytest.raises(ValueError, match="successes"):
+            wilson_interval(successes, 3)
 
 
 class TestMapDecode:

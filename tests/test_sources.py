@@ -57,6 +57,8 @@ def test_validation():
         MarkovSource(1, np.array([0.5, 1.5]))
     with pytest.raises(ValueError):
         MarkovSource(1, np.array([0.5]))
+    with pytest.raises(ValueError, match="must lie in"):
+        MarkovSource(1, np.array([np.nan, 0.5]))
 
 
 def test_history_labels_round_trip():
@@ -126,7 +128,7 @@ def test_multiple_recurrent_classes_detected():
 def test_sampling_frequency_and_support():
     src = MarkovSource.constrained(1, 0.4)
     rng = np.random.default_rng(12)
-    x = src.sample(100_000, rng, init=0)
+    x = src.sample(100_000, rng)
     ones = np.flatnonzero(x)
     assert np.diff(ones).min() >= 2            # no adjacent ones
     assert abs(x.mean() - 0.4 / 1.4) < 0.01    # stationary fraction a/(1+a)
@@ -134,8 +136,8 @@ def test_sampling_frequency_and_support():
 
 def test_sampling_determinism():
     src = MarkovSource(2, np.array([0.3, 0.1, 0.7, 0.2]))
-    a = src.sample(500, np.random.default_rng(9), init=0)
-    b = src.sample(500, np.random.default_rng(9), init=0)
+    a = src.sample(500, np.random.default_rng(9))
+    b = src.sample(500, np.random.default_rng(9))
     assert np.array_equal(a, b)
 
 
@@ -200,18 +202,16 @@ chunk_edges = st.integers(1, 70).flatmap(
 lengths = st.one_of(st.integers(0, 5000), chunk_edges.filter(lambda n: n <= 5000))
 
 
-def _draw(fn, source, n, seed, init):
+def _draw(fn, source, n, seed):
     rng = np.random.default_rng(seed)
-    return fn(source, n, rng, init), rng.bit_generator.state
+    return fn(source, n, rng), rng.bit_generator.state
 
 
 @settings(max_examples=300, deadline=None)
-@given(source=markov_sources(), n=lengths, seed=st.integers(0, 2 ** 32 - 1),
-       init=st.integers(0, 15))
-def test_chunked_sample_matches_loop(source, n, seed, init):
-    init %= source.num_histories
-    got, got_state = _draw(MarkovSource.sample, source, n, seed, init)
-    want, want_state = _draw(loop_sample, source, n, seed, init)
+@given(source=markov_sources(), n=lengths, seed=st.integers(0, 2 ** 32 - 1))
+def test_chunked_sample_matches_loop(source, n, seed):
+    got, got_state = _draw(MarkovSource.sample, source, n, seed)
+    want, want_state = _draw(loop_sample, source, n, seed)
     assert got_state == want_state
     assert got.dtype == np.int8 and got.shape == (n,)
     assert np.array_equal(got, want)
@@ -223,8 +223,7 @@ def test_chunked_sample_matches_loop_long(n, order):
     rng = np.random.default_rng(order)
     source = MarkovSource(order, rng.random(1 << order))
     a, b = np.random.default_rng(n), np.random.default_rng(n)
-    h0 = source.num_histories - 1
-    assert np.array_equal(source.sample(n, a, init=h0), loop_sample(source, n, b, init=h0))
+    assert np.array_equal(source.sample(n, a), loop_sample(source, n, b))
     assert a.bit_generator.state == b.bit_generator.state
 
 
