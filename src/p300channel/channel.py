@@ -51,8 +51,12 @@ class AwgnNoise:
         f = np.empty((y.shape[0], 2))
         norm = 1.0 / np.sqrt(2.0 * np.pi * self.variance)
         inv2v = 0.5 / self.variance
-        f[:, 0] = norm * np.exp(-inv2v * y ** 2)
-        f[:, 1] = norm * np.exp(-inv2v * (y - 1.0) ** 2)
+        for z, col in enumerate(f.T):   # in place: no temporary the size of y
+            np.subtract(y, z, out=col)
+            np.square(col, out=col)
+            col *= -inv2v
+            np.exp(col, out=col)
+            col *= norm
         return f
 
     def cond_entropy(self) -> float:

@@ -66,35 +66,36 @@ class MarkovSource:
 
         A stationary start goes through :meth:`_sweep`, as ``gen_mbc`` does. Bit t is
         ``u[t] < p1[h_t]`` for ``u = rng.random(n)``, computed by a two-level
-        chunked scan over history integers: with K chunks of C = ceil(sqrt(n)) steps,
+        chunked scan over history integers: with K chunks of C = ``_chunk_len(n, H)``,
+        about 2 n^(1/3), steps (H = 2^r),
 
-        1. the H -> H history map of each of the first K-1 chunks (H = 2^r),
-           for all chunks at once, one step at a time;
-        2. a K-step walk of those maps from history 0, which gives
-           the history at every chunk boundary;
+        1. the H -> H history map of each of the first K-1 chunks, for all
+           chunks at once, one step at a time;
+        2. a K-step walk of those maps from history 0, in plain Python over
+           one flat list, which gives the history at every chunk boundary;
         3. a C-step sweep inside all chunks at once from their boundary
            histories, which draws every bit.
 
-        That is about 2C + K Python steps instead of n; the comparisons and
-        the generator draws are those of the step-by-step loop, so the output
-        and the generator state afterwards are identical to it.
+        That is about 2C numpy steps and K list lookups instead of n numpy
+        steps; the comparisons and the generator draws are those of the
+        step-by-step loop, so the output and the generator state afterwards
+        are identical to it.
         """
-        u = rng.random(n)
         if n == 0:
             return np.empty(0, dtype=np.int8)
-        C = _chunk_len(n)
+        C = _chunk_len(n, self.num_histories)
         K = -(-n // C)
         # pad to K full chunks; the padding only drives bits past n, which are dropped
-        U = np.ones(K * C)
-        U[:n] = u
-        U = U.reshape(K, C)
+        U = np.ones((K, C))
+        rng.random(out=U.reshape(-1)[:n])
         H = self.num_histories
         M = np.broadcast_to(np.arange(H), (K - 1, H))
         for i in range(C):
             M = ((M << 1) | (U[:-1, i, None] < self.p1[M])) & (H - 1)
+        maps = M.ravel().tolist()   # one flat list: no Python list per chunk
         bounds = [0]
-        for m in M.tolist():
-            bounds.append(m[bounds[-1]])
+        for k in range(0, len(maps), H):
+            bounds.append(maps[k + bounds[-1]])
         return self._sweep(U, np.array(bounds)).ravel()[:n]
 
     def _sweep(self, U: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -112,9 +113,18 @@ class MarkovSource:
         return X
 
 
-def _chunk_len(n: int) -> int:
-    """Chunk length C = ceil(sqrt(n)) of a two-level scan over n steps."""
-    return math.isqrt(n - 1) + 1 if n > 1 else 1
+def _chunk_len(n: int, width: int) -> int:
+    """Chunk length C of a chunked scan over n >= 1 steps, ``width`` numbers per chunk state.
+
+    A scan makes about 2C steps inside its K = n / C chunks and K, or 3
+    sqrt(K), over their boundaries, so C = ceil(2 n^(1/3)) balances the two.
+    C grows past that to keep the K chunk states of a step within 2^15
+    numbers (256 KiB), where more chunks cost cache misses, not Python steps.
+    """
+    c = int((8 * n) ** (1 / 3))
+    while c ** 3 < 8 * n:   # float rounding can leave c one short
+        c += 1
+    return min(n, max(c, -(-n * width // 2 ** 15)))
 
 
 def history_label(h: int, order: int) -> str:
@@ -150,6 +160,10 @@ def stationary_distribution(source: MarkovSource) -> np.ndarray:
 
     Raises :class:`ReducibleChainError` when the chain has several recurrent
     classes and the stationary law is therefore not unique.
+
+    Solved by Grassmann-Taksar-Heyman state reduction, which never subtracts:
+    an escape probability below machine epsilon, where ``1 - p`` rounds to 1
+    and ``T - I`` turns singular, still counts at its full relative accuracy.
     """
     classes = recurrent_classes(source)
     if len(classes) != 1:
@@ -157,15 +171,18 @@ def stationary_distribution(source: MarkovSource) -> np.ndarray:
             f"history chain has {len(classes)} recurrent classes; expected one"
         )
     members = classes[0]
-    T = source.transition_matrix()[np.ix_(members, members)]
+    P = source.transition_matrix()[np.ix_(members, members)]
     k = len(members)
-    # pi T = pi with sum(pi) = 1: replace one balance equation by normalization
-    A = T.T - np.eye(k)
-    A[-1, :] = 1.0
-    b = np.zeros(k)
-    b[-1] = 1.0
-    pi_members = np.linalg.solve(A, b)
-    pi_members = np.clip(pi_members, 0.0, None)
+    # censor states k-1, ..., 1 out of the chain one at a time
+    for n in range(k - 1, 0, -1):
+        out = max(P[n, :n].sum(), 1e-300)   # floor: an escape rate that underflowed
+        P[:n, n] /= out
+        P[:n, :n] += np.outer(P[:n, n], P[n, :n])
+    pi_members = np.ones(k)
+    for n in range(1, k):
+        pi_members[n] = pi_members[:n] @ P[:n, n]
+        if pi_members[n] > 1.0:   # keep every entry <= 1, so no sum overflows
+            pi_members[:n + 1] /= pi_members[n]
     pi_members /= pi_members.sum()
     pi = np.zeros(source.num_histories)
     pi[members] = pi_members
@@ -182,13 +199,18 @@ def save_source(source: MarkovSource, path) -> None:
 
 
 def load_source(path) -> MarkovSource:
+    """Read a file written by :func:`save_source`; errors name the file and line."""
     with open(path) as fh:
-        raw = [line.strip() for line in fh if line.strip()]
-    if not raw or not raw[0].startswith("# order="):
+        raw = [(k, line.strip()) for k, line in enumerate(fh, 1) if line.strip()]
+    if not raw or not raw[0][1].startswith("# order="):
         raise ValueError(f"{path}: missing '# order=<r>' header")
-    order = int(raw[0].split("=", 1)[1])
+    k, header = raw[0]
+    try:
+        order = int(header.split("=", 1)[1])
+    except ValueError:
+        raise ValueError(f"{path}:{k}: order must be an integer, got {header!r}") from None
     if order < 1:
-        raise ValueError(f"{path}: order must be >= 1, got {order}")
+        raise ValueError(f"{path}:{k}: order must be >= 1, got {order}")
     count = len(raw) - 1
     # bit lengths are compared first, so a huge order never builds 2^order
     if count.bit_length() != order + 1 or count != 1 << order:
@@ -197,13 +219,17 @@ def load_source(path) -> MarkovSource:
                          f"({problem} histories)")
     p1 = np.empty(count)
     seen = set()
-    for line in raw[1:]:
+    for k, line in raw[1:]:
         label, _, prob = line.partition(",")
-        h = history_from_label(label)
+        try:
+            h, p = history_from_label(label), float(prob)
+        except ValueError:
+            raise ValueError(f"{path}:{k}: expected '<history bits>,<probability>', "
+                             f"got {line!r}") from None
         if len(label) != order:
-            raise ValueError(f"{path}: history {label!r} does not match order {order}")
+            raise ValueError(f"{path}:{k}: history {label!r} does not match order {order}")
         if h in seen:
-            raise ValueError(f"{path}: history {label} listed twice")
+            raise ValueError(f"{path}:{k}: history {label} listed twice")
         seen.add(h)
-        p1[h] = float(prob)
+        p1[h] = p
     return MarkovSource(order, p1)

@@ -172,6 +172,20 @@ class TestGenbookSimulate:
                                  "--seed", "0")
         assert code == 3 and out == "" and message in err
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("# order=x\n0,0.2\n1,0.5\n", 1, "order must be an integer, got '# order=x'"),
+        ("# order=1\n\n0\n1,0.5\n", 3, "got '0'"),
+        ("# order=1\n0,0.2\n1,half\n", 3, "got '1,half'"),
+    ])
+    def test_mbc_source_parse_errors_name_file_and_line(self, capsys, tmp_path, text, line,
+                                                        message):
+        path = tmp_path / "src.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "genbook", "--kind", "mbc", "--source", str(path),
+                                 "--seed", "0")
+        assert code == 3 and out == ""
+        assert f"{path}:{line}: " in err and message in err
+
     def test_cbp_needs_the_6x6_grid(self, capsys):
         code, _, err = run_cli(capsys, "genbook", "--kind", "cbp", "--W", "35", "--seed", "0")
         assert code == 3 and "W=36" in err

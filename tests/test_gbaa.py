@@ -190,3 +190,15 @@ class TestGbaaOptimize:
         _, _, trace = gbaa_optimize(ChannelSpec(1, AwgnNoise(0.5)), cfg)
         assert len(trace) == 3
         assert len(calls) == 2
+
+    def test_last_iteration_keeps_no_alphas(self, monkeypatch):
+        # no backward pass follows the last iteration, so its forward pass
+        # keeps no (n+1, S) table; the re-scores keep none either
+        kept = []
+        forward = gbaa._scaled_forward
+        monkeypatch.setattr(gbaa, "_scaled_forward",
+                            lambda tr, p, f, keep_alphas: kept.append(keep_alphas)
+                            or forward(tr, p, f, keep_alphas))
+        cfg = GbaaConfig(order=1, sample_len=2_000, max_iters=3, seed=4)
+        gbaa_optimize(ChannelSpec(1, AwgnNoise(0.5)), cfg)
+        assert kept[:2] == [True, True] and len(kept) > 3 and not any(kept[2:])
