@@ -19,7 +19,14 @@ Garcia-Fernandez (IEEE TAC 2021): chunk transfer products, a two-level scan
 over the chunk boundaries (group products, a walk over the group
 boundaries, a sweep inside all groups), then a sweep inside all chunks at
 once. A length-n pass takes about 6 n^(1/3) vectorized Python steps instead
-of n; from 64 trellis states on it is the plain step-by-step loop.
+of n; from 64 trellis states on it is the plain step-by-step loop. The chunk
+products are renormalized only before a step that could take a row sum out
+of [2^-64, 2^64], which the emission table alone bounds, so an entry
+flushes to zero below 2^-1010 of its row sum (2^-1074 for a product
+renormalized at every step). A pass that needs only the rate (a rate
+estimate, the last GBAA iteration) skips the sweep inside the chunks: its
+20 block sums of log2 normalizers come from the chunk products, snapshots
+taken at the block ends, and the chunk boundary vectors.
 """
 
 from __future__ import annotations
@@ -29,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSpec, Trellis, build_trellis, fsm_response, apply_noise
+from .channel import (AwgnNoise, ChannelSpec, Trellis, apply_noise, build_trellis,
+                      fsm_response)
 from .rates import ConvergenceError, perron_pair
 from .sources import MarkovSource, _chunk_len, stationary_distribution
 
@@ -67,59 +75,169 @@ def _edge_prob(trellis: Trellis, source: MarkovSource) -> np.ndarray:
 
 _LOOP_STATES = 64   # from this many states on, dense chunk products cost more than they save
 
+# Chunk-product rows are renormalized only before a step that could take a row
+# sum out of [2^-_ROW_BITS, 2^_ROW_BITS]. Then no row sum overflows (S 2^64 is
+# far below 2^1024), and an entry flushes to zero only below 2^-1010 of its row
+# sum instead of 2^-1074: a loss of 64 of the 1074 binary orders of magnitude
+# below a row's sum, all of them far under the 2^-53 precision of anything a
+# rate, a block mean or a boundary vector is computed to.
+_ROW_BITS = 64.0
+
+
+def _renorm_schedule(f: np.ndarray, gather: np.ndarray, prob: np.ndarray, C: int) -> list[bool]:
+    """Which of the C steps of phase 1 renormalize the chunk products first.
+
+    One step multiplies the row sum of every product by a factor in
+    [a_min min_z f[t, z], a_max max_z f[t, z]], where a_s, the summed
+    probability of the edges a step reads from state s, is 1 for every s in
+    the forward recursion (the two out-edges of a state) and at most 2 in
+    the backward one. The worst case over the chunks bounds each step; a
+    row sum starts at 1 after a renormalization, and the next one comes
+    before the step whose bound could leave [2^-64, 2^64]. A factor of 0
+    (as in a noiseless law) renormalizes before every step.
+    """
+    n, S = f.shape[0], gather.shape[0]
+    m = n // C                                  # full chunks
+    view = f[:m * C].reshape(m, 2 * C)
+    lo = view.min(0).reshape(C, 2).min(1)
+    hi = view.max(0).reshape(C, 2).max(1)
+    if n > m * C:                               # the short last chunk
+        tail = f[m * C:]
+        lo[:tail.shape[0]] = np.minimum(lo[:tail.shape[0]], tail.min(1))
+        hi[:tail.shape[0]] = np.maximum(hi[:tail.shape[0]], tail.max(1))
+    a = np.bincount(gather.ravel(), prob.ravel(), minlength=S)
+    lo = (np.log2(lo) + np.log2(a.min())).tolist()
+    hi = (np.log2(hi) + np.log2(a.max())).tolist()
+    renorm, down, up = [False] * C, 0.0, 0.0
+    for i in range(C):
+        if i and (down + lo[i] < -_ROW_BITS or up + hi[i] > _ROW_BITS):
+            renorm[i], down, up = True, 0.0, 0.0
+        down += lo[i]
+        up += hi[i]
+    return renorm
+
+
+def _renormalize(P: np.ndarray, rho: np.ndarray) -> None:
+    """Scale every row of the (S, S, K) products to sum 1, adding its log2 sum to ``rho``.
+
+    A row that sums to zero stays zero, and its scale becomes -inf.
+    """
+    rs = P.sum(1)
+    P *= (1.0 / np.where(rs > 0.0, rs, 1.0))[:, None]
+    rho += np.log2(rs)
+
+
+def _chunk_products(f, gather, prob, zsel, C: int, snap_k, snap_i):
+    """Phase 1 of :func:`_chunked_scan`: the transfer product of each of the K chunks.
+
+    All chunks advance at once, one step at a time, renormalized as
+    :func:`_renorm_schedule` says and always after the last step. The last
+    chunk may be short; its weights are zero past its end. Returns the
+    row-normalized (S, S, K) products and their (S, K) row log2 scales,
+    plus, for each (chunk ``snap_k[b]``, offset ``snap_i[b]`` in 1..C), that
+    chunk's product after its first ``snap_i[b]`` steps, as (B, S, S)
+    products and (B, S) row scales.
+    """
+    n, S = f.shape[0], gather.shape[0]
+    K = -(-n // C)
+    P = np.zeros((S, S, K))                    # P[i, j, k]: chunk k, row i, column j
+    P[np.arange(S), np.arange(S)] = 1.0
+    rho = np.zeros((S, K))
+    nxt, edge = np.empty_like(P), np.empty_like(P)
+    w = np.empty((S, 2, K))
+    snaps = {}                                 # offset -> indices of its snapshots
+    for b, i in enumerate(snap_i.tolist()):
+        snaps.setdefault(i, []).append(b)
+    Psnap, rsnap = np.empty((len(snap_k), S, S)), np.empty((len(snap_k), S))
+
+    def snapshot(i):
+        if i in snaps:
+            bs = snaps[i]
+            Psnap[bs] = P[:, :, snap_k[bs]].transpose(2, 0, 1)
+            rsnap[bs] = rho[:, snap_k[bs]].T
+
+    renorm = _renorm_schedule(f, gather, prob, C)
+    for i in range(C):   # "clip" never clips here; it lets take fill out unbuffered
+        if renorm[i]:
+            _renormalize(P, rho)
+        snapshot(i)
+        if i == n - (K - 1) * C:               # past the end of a short last chunk
+            w[..., -1] = 0.0
+        fi = f[i::C].T                                        # (Z, chunks with a step i)
+        np.multiply(prob[..., None], fi[zsel], out=w[..., :fi.shape[1]])
+        np.take(P, gather[:, 0], axis=1, out=nxt, mode="clip")
+        nxt *= w[:, 0]
+        np.take(P, gather[:, 1], axis=1, out=edge, mode="clip")
+        edge *= w[:, 1]
+        P, nxt = nxt, P
+        P += edge
+    _renormalize(P, rho)
+    snapshot(C)
+    return P, rho, Psnap, rsnap
+
 
 def _chunked_scan(f: np.ndarray, v0: np.ndarray, gather: np.ndarray, prob: np.ndarray,
-                  zsel: np.ndarray, keep: bool):
+                  zsel: np.ndarray, ends: np.ndarray, keep: bool):
     """Normalized linear recursion v_{t+1}[j] ∝ sum_m v_t[gather[j, m]] w_t[j, m].
 
     ``w_t[j, m] = prob[j, m] * f[t, zsel[j, m]]`` is the weight of the m-th of
-    the two trellis edges that feed entry j. The n steps are split into K
-    chunks of C = ``_chunk_len(n, S^2)`` steps, about 2 n^(1/3) for S <= 4,
-    and run in three vectorized passes:
+    the two trellis edges that feed entry j, and c_t = |v_t w_t| is the
+    normalizer of step t. The n steps are split into K chunks of
+    C = ``_chunk_len(n, S^2)`` steps, about 2 n^(1/3) for S <= 4, and run in
+    up to three vectorized passes:
 
-    1. the S x S transfer product of each of the first K-1 chunks, all chunks
-       at once, one step at a time; each row is normalized after every step
-       and its log2 scale kept, so no row underflows against another;
-    2. the normalized vector at every chunk boundary, from a two-level scan
-       over those K-1 products (:func:`_dense_scan`, about 3 sqrt(K) steps);
+    1. the S x S transfer product of each chunk, all chunks at once, one step
+       at a time (:func:`_chunk_products`). Rows are renormalized, with their
+       log2 scales kept, only before a step that could take a row sum out of
+       [2^-64, 2^64] (``_ROW_BITS``) and after the last step; so no row
+       underflows against another, and an entry flushes to zero only below
+       2^-1010 of its row sum;
+    2. the normalized vector at every chunk boundary and the log2 increment
+       of each chunk, from a two-level scan over the products
+       (:func:`_dense_scan`, about 3 sqrt(K) steps);
     3. a C-step sweep inside all chunks at once, from their boundary vectors,
        which repeats the step-by-step recursion and yields every vector and
        every normalizer.
 
     The chunk index is the innermost axis of phases 1 and 3, so numpy's inner
     loops run over the chunks. That is 2C + 3 sqrt(K) Python steps instead of
-    n: about 6 n^(1/3), or 280 at n = 1e5. Phase 1 costs about n S^2
+    n: about 6 n^(1/3), or 280 at n = 1e5 (190 without phase 3, as in a
+    pass that keeps no vectors; see below). Phase 1 costs about n S^2
     operations against phase 3's n S, so from ``_LOOP_STATES`` states on
     C = n: K = 1, phases 1 and 2 are skipped, and phase 3 is the
-    step-by-step loop. Returns the (n+1, S) vectors (None unless ``keep``)
-    and the n normalizers; a normalizer that is zero or non-finite marks a
-    collapse, which the caller reports.
+    step-by-step loop.
+
+    Returns the (n+1, S) vectors (None unless ``keep``), the sums of log2 c_t
+    over the blocks [ends[b], ends[b+1]) of the increasing ``ends`` (from 0
+    to n), and the first step whose normalizer is zero or not finite (None
+    if there is none), a collapse that the caller reports. A pass that keeps
+    no vectors skips phase 3: phase 1 also snapshots each chunk that holds a
+    block end, after the steps up to that end, and the block sums come from
+    those snapshots, the boundary vectors and the chunk increments. If one of
+    them is not finite, phase 3 runs after all and finds the collapsed step.
     """
     n = f.shape[0]
     S = v0.size
     C = _chunk_len(n, S * S) if S < _LOOP_STATES else n
     K = -(-n // C)
-    body = (K - 1) * C     # steps covered by full chunks whose product is needed
     with np.errstate(divide="ignore", invalid="ignore"):
         if K > 1:
-            P = np.zeros((S, S, K - 1))          # P[i, j, k]: chunk k, row i, column j
-            P[np.arange(S), np.arange(S)] = 1.0
-            rho = np.zeros((S, K - 1))
-            nxt, edge = np.empty_like(P), np.empty_like(P)
-            for i in range(C):   # "clip" never clips here; it lets take fill out unbuffered
-                w = prob[..., None] * f[i:body:C].T[zsel]      # (S, 2, K-1)
-                np.take(P, gather[:, 0], axis=1, out=nxt, mode="clip")
-                nxt *= w[:, 0]
-                np.take(P, gather[:, 1], axis=1, out=edge, mode="clip")
-                edge *= w[:, 1]
-                P, nxt = nxt, P
-                P += edge
-                rs = P.sum(1)
-                P *= (1.0 / np.where(rs > 0.0, rs, 1.0))[:, None]
-                rho += np.log2(rs)
-            del nxt, edge
-            v = _dense_scan(v0, rho.T, P.transpose(2, 0, 1)).T
+            # block end e lies in chunk k = (e - 1) // C, after its first e - k C steps
+            snap = np.empty(0, dtype=int) if keep else ends[1:]
+            k = (snap - 1) // C
+            P, rho, Psnap, rsnap = _chunk_products(f, gather, prob, zsel, C, k, snap - k * C)
+            b, inc = _dense_scan(v0, rho[:, :K - 1].T, P[:, :, :K - 1].transpose(2, 0, 1))
             del P
+            if not keep:
+                # log2 mass at each block end, from the normalized vector at its chunk's start
+                a, t = _dense_step(b[k][:, None], rsnap, Psnap)
+                mass = t[:, 0, 0] + np.log2(a.sum((1, 2)))
+                k, mass = np.r_[0, k], np.r_[0.0, mass]
+                sums = np.array([inc[k[j]:k[j + 1]].sum() for j in range(len(k) - 1)])
+                sums += np.diff(mass)
+                if np.isfinite(sums).all():
+                    return None, sums, None
+            v = b.T
         else:
             v = v0[:, None]
 
@@ -135,33 +253,45 @@ def _chunked_scan(f: np.ndarray, v0: np.ndarray, gather: np.ndarray, prob: np.nd
             scale[i::C] = c
             if keep:
                 vs[i + 1::C] = v.T
-    return vs, scale
+        return vs, np.add.reduceat(np.log2(scale), ends[:-1]), _first_collapse(scale)
+
+
+_FLOOR = -np.finfo(np.float64).max
 
 
 def _dense_step(v: np.ndarray, rho: np.ndarray, P: np.ndarray):
-    """Rows of v diag(2^rho) P, normalized, and their log2 scales.
+    """Rows of v diag(2^rho) P as (a, t): row j of the result is a[j] 2^t[j].
 
-    ``P`` holds row-normalized products whose rows carry the log2 scales
-    ``rho``; they are weighed in the log domain, row by row of ``v``, so no
-    scale overflows or underflows against another. A row that the product
-    kills stays zero with scale -inf. Leading axes of the arguments broadcast.
+    The rows of ``v`` are weighed in the log domain, each shifted by its own
+    largest term, so no scale in ``rho`` overflows or underflows against
+    another. If the rows of ``P`` sum to 1 (or to 0, with scale -inf), each
+    row of ``a`` sums to between 1 and S, so steps chain without being
+    normalized. A row of ``v`` that is zero, or whose every term ``P``
+    kills, comes out zero with t = -inf. Leading axes of the arguments
+    broadcast.
     """
-    g = np.log2(v) + rho[..., None, :]
-    top = g.max(-1, keepdims=True)
-    top = np.where(top > -np.inf, top, 0.0)
-    a = np.exp2(g - top) @ P
-    s = a.sum(-1, keepdims=True)
-    return a / np.where(s > 0.0, s, 1.0), top + np.log2(s)
+    g = np.log2(v)
+    g += rho[..., None, :]
+    t = np.maximum.reduce(g, -1, keepdims=True)
+    g -= np.maximum(t, _FLOOR)   # a zero row has t = -inf; its g - t stays -inf, not nan
+    return np.exp2(g, out=g) @ P, t
 
 
-def _dense_scan(v0: np.ndarray, rho: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Normalized b_0 = v0, ..., b_M with b_{k+1} ∝ b_k diag(2^rho[k]) P[k].
+def _normalized(a: np.ndarray, t: np.ndarray):
+    """Rows of a 2^t as (rows scaled to sum 1, log2 of their sums); a zero row stays zero."""
+    s = np.add.reduce(a, -1, keepdims=True)
+    return np.divide(a, s, out=a, where=s > 0.0), t + np.log2(s)
+
+
+def _dense_scan(v0: np.ndarray, rho: np.ndarray, P: np.ndarray):
+    """Normalized b_0 = v0, ..., b_M with b_{k+1} ∝ b_k diag(2^rho[k]) P[k], and their scales.
 
     A two-level scan over the M dense S x S products, in groups of
     D = ceil(sqrt(M)): the product of each of the first G-1 groups, all
     groups at once (D-1 steps); a walk over the G group boundaries; then a
-    D-step sweep inside all groups from their boundary vectors. Returns the
-    (M+1, S) vectors.
+    D-step sweep inside all groups from their boundary vectors. Only that
+    sweep normalizes its vectors. Returns the (M+1, S) vectors and the M
+    log2 increments log2 |b_k diag(2^rho[k]) P[k]|.
     """
     M, S = rho.shape
     D = math.isqrt(M - 1) + 1
@@ -169,18 +299,21 @@ def _dense_scan(v0: np.ndarray, rho: np.ndarray, P: np.ndarray) -> np.ndarray:
     full = (G - 1) * D     # products covered by groups whose product is needed
     Q, sig = P[:full:D], rho[:full:D]
     for i in range(1, D):
-        Q, s = _dense_step(Q, rho[i:full:D], P[i:full:D])
-        sig = sig + s[..., 0]
+        Q, t = _dense_step(Q, rho[i:full:D], P[i:full:D])
+        sig = sig + t[..., 0]
     v = np.empty((G, 1, S))
     v[0] = v0
     for g in range(G - 1):
         v[g + 1] = _dense_step(v[g], sig[g], Q[g])[0]
+    v = _normalized(v, 0.0)[0]
     out = np.empty((M + 1, S))
     out[0] = v0
+    inc = np.empty(M)
     for i in range(D):
-        v = _dense_step(v[:len(range(i, M, D))], rho[i::D], P[i::D])[0]
+        v, s = _normalized(*_dense_step(v[:len(range(i, M, D))], rho[i::D], P[i::D]))
         out[i + 1::D] = v[:, 0]
-    return out
+        inc[i::D] = s[:, 0, 0]
+    return out, inc
 
 
 def _first_collapse(scale: np.ndarray) -> int | None:
@@ -188,24 +321,24 @@ def _first_collapse(scale: np.ndarray) -> int | None:
     return int(bad[0]) if bad.size else None
 
 
-def _scaled_forward(trellis: Trellis, prob: np.ndarray, f: np.ndarray,
+def _scaled_forward(trellis: Trellis, prob: np.ndarray, f: np.ndarray, ends: np.ndarray,
                     keep_alphas: bool = True):
     """Normalized forward recursion by the chunked scan of :func:`_chunked_scan`.
 
     alpha_{t+1}[j] ∝ sum over the edges e into j of alpha_t[from(e)] p_e f[t, z_e],
     from the all-zero history.
-    Returns (alphas, per-step log2 scale factors); alphas is None unless
-    ``keep_alphas``, so a rate estimate holds no (n+1, S) table.
+    Returns (alphas, the sums of the per-step log2 scale factors over the
+    blocks between ``ends``); alphas is None unless ``keep_alphas``, so a rate
+    estimate holds no (n+1, S) table and makes no step-by-step sweep.
     """
     v0 = np.zeros(trellis.num_states)
     v0[0] = 1.0
     e = trellis.in_edges
-    alphas, c = _chunked_scan(f, v0, trellis.edge_from[e], prob[e], trellis.edge_z[e],
-                              keep_alphas)
-    t = _first_collapse(c)
+    alphas, sums, t = _chunked_scan(f, v0, trellis.edge_from[e], prob[e], trellis.edge_z[e],
+                                    ends, keep_alphas)
     if t is not None:
         raise ConvergenceError(f"forward recursion collapsed at step {t}")
-    return alphas, np.log2(c)
+    return alphas, sums
 
 
 def _scaled_backward(trellis: Trellis, prob: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -217,12 +350,20 @@ def _scaled_backward(trellis: Trellis, prob: np.ndarray, f: np.ndarray) -> np.nd
     n = f.shape[0]
     S = trellis.num_states
     e = trellis.out_edges
-    rev, c = _chunked_scan(f[::-1], np.full(S, 1.0 / S), trellis.edge_to[e], prob[e],
-                           trellis.edge_z[e], keep=True)
-    t = _first_collapse(c)
+    rev, _, t = _chunked_scan(f[::-1], np.full(S, 1.0 / S), trellis.edge_to[e], prob[e],
+                              trellis.edge_z[e], np.array([0, n]), keep=True)
     if t is not None:
         raise ConvergenceError(f"backward recursion collapsed at step {n - 1 - t}")
     return rev[::-1]
+
+
+# Rate estimation needs sigma >= 2^-32. The simulated y = z + g is rounded to
+# within 2^-53 of z + g (|y| < 2 but for far tails), which perturbs each
+# symbol's log-likelihood by about |g| 2^-53 / sigma^2 ~ 2^-53 / sigma nats:
+# at most 2^-21 here, far below any Monte Carlo error. Once sigma nears
+# ulp(1) = 2^-52, z + g rounds to z, the closed-form H(Y|X) no longer
+# describes the simulated block, and the rate comes out silently wrong.
+_MIN_VARIANCE = 2.0 ** -64
 
 
 def _forward_rate(trellis: Trellis, source: MarkovSource, channel: ChannelSpec, n: int,
@@ -234,17 +375,21 @@ def _forward_rate(trellis: Trellis, source: MarkovSource, channel: ChannelSpec, 
     to [0, 1], and the standard error comes from 20 block means. Returns the
     rate, its standard error, and the edge probabilities, emission table and
     forward vectors (None unless ``keep_alphas``) that a backward pass needs.
+    An AWGN variance below 2^-64 is rejected (see ``_MIN_VARIANCE``).
     """
-    y = apply_noise(fsm_response(source.sample(n, rng), channel.refractory_len),
-                    channel.noise, rng)
+    noise = channel.noise
+    if isinstance(noise, AwgnNoise) and noise.variance < _MIN_VARIANCE:
+        raise ValueError(f"AWGN variance {noise.variance!r} is below 2^-64: the simulated "
+                         f"noise would not survive rounding, so no rate can be estimated")
+    y = apply_noise(fsm_response(source.sample(n, rng), channel.refractory_len), noise, rng)
     prob = _edge_prob(trellis, source)
-    f = channel.noise.emission(np.asarray(y, dtype=np.float64))
+    f = noise.emission(np.asarray(y, dtype=np.float64))
     del y   # the scan needs only the emission table
-    alphas, log2c = _scaled_forward(trellis, prob, f, keep_alphas=keep_alphas)
-    rate = float(np.clip(-log2c.mean() - channel.noise.cond_entropy(), 0.0, 1.0))
     n_blocks = min(20, n)
     ends = np.linspace(0, n, n_blocks + 1, dtype=int)
-    block_means = np.array([-log2c[a:b].mean() for a, b in zip(ends[:-1], ends[1:])])
+    alphas, sums = _scaled_forward(trellis, prob, f, ends, keep_alphas=keep_alphas)
+    rate = float(np.clip(-sums.sum() / n - noise.cond_entropy(), 0.0, 1.0))
+    block_means = -sums / np.diff(ends)
     std_err = float(block_means.std(ddof=1) / np.sqrt(n_blocks)) if n_blocks > 1 else 0.0
     return rate, std_err, prob, f, alphas
 

@@ -8,10 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel as ch
+from . import gbaa
 from . import rates
-from .channel import BinarySymmetric, ChannelSpec
+from .channel import AwgnNoise, BinarySymmetric, ChannelSpec
 from .codebooks import Codebook, gen_min_dist
-from .gbaa import _maxentropic_update
 from .simulate import map_decode
 from .sources import MarkovSource
 
@@ -69,7 +69,7 @@ def _check_graph_route_agreement() -> str:
     for L in range(1, 7):
         trellis = ch.build_trellis(L, L)
         w = np.where((trellis.edge_input == 1) & (trellis.edge_z == 0), 0.0, 1.0)
-        p1 = _maxentropic_update(trellis, w)
+        p1 = gbaa._maxentropic_update(trellis, w)
         worst = max(worst, np.max(np.abs(p1 - rates.maxentropic_source(L).p1)))
     if worst >= 1e-9:
         raise AssertionError(f"construction disagreement {worst:.3e} >= 1e-9")
@@ -152,6 +152,22 @@ def _check_min_dist_oracle() -> str:
     return "min-distance books: distinct constant-weight rows, label = pairwise count"
 
 
+def _check_rate_pass_routes() -> str:
+    # the same simulated block scored twice: the rate-only pass (block sums from
+    # chunk-product snapshots) and the per-step pass (the sweep inside every chunk)
+    worst = 0.0
+    for L, noise in ((1, AwgnNoise(0.5)), (2, BinarySymmetric(0.05))):
+        source = MarkovSource(L, np.linspace(0.2, 0.8, 1 << L))
+        channel, trellis = ChannelSpec(L, noise), ch.build_trellis(L, L)
+        (r0, e0), (r1, e1) = (
+            gbaa._forward_rate(trellis, source, channel, 5000, np.random.default_rng(20244),
+                               keep)[:2] for keep in (False, True))
+        worst = max(worst, abs(r0 - r1), abs(e0 - e1))
+    if worst >= 1e-12:
+        raise AssertionError(f"rate/SE gap {worst:.3e} >= 1e-12")
+    return f"max rate/SE gap {worst:.1e} (L=1 AWGN, L=2 BSC, n=5000)"
+
+
 def _check_invertibility() -> str:
     for L, n in ((1, 10), (2, 10)):
         src = MarkovSource.constrained(L, 0.3)
@@ -174,6 +190,7 @@ CHECKS = (
     ("decoder oracle", _check_decoder_oracle),
     ("min-distance label oracle", _check_min_dist_oracle),
     ("constrained-family invertibility", _check_invertibility),
+    ("rate-only vs per-step pass", _check_rate_pass_routes),
 )
 
 

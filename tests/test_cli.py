@@ -230,6 +230,15 @@ class TestGenbookSimulate:
         assert payload["runs"] == 300
         assert payload["config"]["runs"] == 300
 
+    def test_simulate_has_no_variance_floor(self, capsys, tmp_path):
+        # MAP decoding does not need the noise to survive rounding
+        book = tmp_path / "rcp.csv"
+        run_cli(capsys, "genbook", "--kind", "rcp", "--N", "60", "--seed", "7",
+                "--out", str(book))
+        code, out, _ = run_cli(capsys, "simulate", "--book", str(book), "--L", "1",
+                               "--sigma2", "1e-300", "--runs", "50", "--seed", "5")
+        assert code == 0 and json.loads(out)["accuracy"] == 1.0
+
     def test_simulate_missing_book_reports_path(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--book", "/nope/missing.csv",
                                "--L", "1", "--seed", "0")
@@ -291,6 +300,13 @@ class TestOptimize:
         assert code == 0
         payload = json.loads(out)
         assert payload["sample_len"] == length and payload["eval_len"] == eval_len
+
+    def test_variance_below_the_rate_floor_exits_3(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "optimize", "--L", "1", "--sigma2", "1e-300",
+                                 "--iters", "1", "--len", "1000", "--seed", "0",
+                                 "--out", str(tmp_path))
+        assert code == 3 and out == "" and "below 2^-64" in err
+        assert not (tmp_path / "rate_trace.csv").exists()
 
     def test_requires_noise(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "optimize", "--L", "1", "--seed", "0",
@@ -374,3 +390,18 @@ class TestSelftest:
         code, out, _ = run_cli(capsys, "selftest", "--seed", "0")
         assert code != 0
         assert "FAIL" in out
+
+    def test_rate_pass_fault_is_caught(self, capsys, monkeypatch):
+        # the chunk increments feed only the rate-only pass, so a fault there
+        # shows as a gap between the rate-only and the per-step pass
+        from p300channel import gbaa
+        scan = gbaa._dense_scan
+
+        def skewed(*args):
+            out, inc = scan(*args)
+            return out, inc + 1e-9
+
+        monkeypatch.setattr(gbaa, "_dense_scan", skewed)
+        code, out, _ = run_cli(capsys, "selftest", "--seed", "0")
+        assert code != 0
+        assert "FAIL  rate-only vs per-step pass" in out

@@ -65,6 +65,21 @@ class TestEstimateRate:
         with pytest.raises(ValueError, match="n must be"):
             estimate_rate(maxentropic_source(1), ChannelSpec(1), n=0, seed=0)
 
+    def test_variance_below_the_floor_rejected(self):
+        # below sigma = 2^-32 the simulated noise does not survive rounding
+        # (z + g rounds toward z), so the closed-form H(Y|X) no longer describes
+        # the block; at sigma^2 = 1e-300 the rate read 0.497 instead of ~0.678
+        src = MarkovSource.uniform(1)
+        for var in (1e-300, 2.0 ** -65):
+            chan = ChannelSpec(1, AwgnNoise(var))
+            with pytest.raises(ValueError, match="below 2\\^-64"):
+                estimate_rate(src, chan, n=1000, seed=3)
+            with pytest.raises(ValueError, match="below 2\\^-64"):
+                gbaa_optimize(chan, GbaaConfig(order=1, sample_len=1000, max_iters=1))
+        at_floor = estimate_rate(src, ChannelSpec(1, AwgnNoise(2.0 ** -64)), n=100_000, seed=3)
+        noiseless = estimate_rate(src, ChannelSpec(1), n=100_000, seed=3)
+        assert abs(at_floor.rate - noiseless.rate) < 5 * max(at_floor.std_err, 0.0032)
+
     def test_reducible_source_rejected(self):
         with pytest.raises(ValueError, match="recurrent"):
             estimate_rate(MarkovSource(1, np.array([0.0, 1.0])), ChannelSpec(1),
@@ -96,7 +111,7 @@ class TestInitialState:
         tr = build_trellis(r, L)
         y = rng.integers(0, 2, 9).astype(np.int8)
         f = channel.noise.emission(y.astype(np.float64))
-        _, log2c = _scaled_forward(tr, _edge_prob(tr, source), f)
+        _, log2c = _scaled_forward(tr, _edge_prob(tr, source), f, np.array([0, 9]))
         assert log2c.sum() == pytest.approx(_enumerated_log2_py(source, L, eps, y), abs=1e-12)
 
     @pytest.mark.parametrize("L, r", [(1, 1), (2, 2), (2, 3)])
@@ -122,7 +137,8 @@ class TestForwardRecursion:
         from p300channel import fsm_response, apply_noise
         y = apply_noise(fsm_response(x, 2), chan.noise, rng)
         tr = build_trellis(2, 2)
-        alphas, _ = _scaled_forward(tr, _edge_prob(tr, src), chan.noise.emission(y.astype(float)))
+        alphas, _ = _scaled_forward(tr, _edge_prob(tr, src), chan.noise.emission(y.astype(float)),
+                                    np.array([0, 2000]))
         assert np.allclose(alphas.sum(axis=1), 1.0, atol=1e-9)
 
     def test_conditional_term_closed_forms(self):
@@ -193,12 +209,19 @@ class TestGbaaOptimize:
 
     def test_last_iteration_keeps_no_alphas(self, monkeypatch):
         # no backward pass follows the last iteration, so its forward pass
-        # keeps no (n+1, S) table; the re-scores keep none either
-        kept = []
-        forward = gbaa._scaled_forward
-        monkeypatch.setattr(gbaa, "_scaled_forward",
-                            lambda tr, p, f, keep_alphas: kept.append(keep_alphas)
-                            or forward(tr, p, f, keep_alphas))
+        # builds no (n+1, S) table; the re-scores build none either. Every
+        # pass is one call of the scan: (length, table built) for each.
+        scans = []
+        scan = gbaa._chunked_scan
+
+        def spy(f, *args, **kwargs):
+            out = scan(f, *args, **kwargs)
+            scans.append((f.shape[0], out[0] is not None))
+            return out
+
+        monkeypatch.setattr(gbaa, "_chunked_scan", spy)
         cfg = GbaaConfig(order=1, sample_len=2_000, max_iters=3, seed=4)
         gbaa_optimize(ChannelSpec(1, AwgnNoise(0.5)), cfg)
-        assert kept[:2] == [True, True] and len(kept) > 3 and not any(kept[2:])
+        # iterations 1 and 2: forward and backward tables; iteration 3: none
+        assert scans[:5] == [(2_000, True)] * 4 + [(2_000, False)]
+        assert scans[5:] in ([(100_000, False)], [(100_000, False)] * 2)
