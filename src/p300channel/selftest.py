@@ -168,6 +168,47 @@ def _check_rate_pass_routes() -> str:
     return f"max rate/SE gap {worst:.1e} (L=1 AWGN, L=2 BSC, n=5000)"
 
 
+def _from_ground_entropy(source: MarkovSource, n: int) -> float:
+    """(1/n) sum_{t<n} sum_h P(h_t = h) H_b(p1[h]), the history law stepped from ground."""
+    law = np.zeros(source.num_histories)
+    law[0] = 1.0
+    T = source.transition_matrix()
+    hb = np.array([ch.binary_entropy(p) for p in source.p1])
+    total = 0.0
+    for _ in range(n):
+        total += law @ hb
+        law = law @ T
+    return total / n
+
+
+def _check_control_variates() -> str:
+    # the control-variate estimate against the plain mean of D on the blocks of
+    # "rate-only vs per-step pass", within 4 combined standard errors; then a
+    # noiseless maxentropic block, where D_t = A_t, against its exact entropy
+    worst, n = 0.0, 5000
+    ends = np.linspace(0, n, 21, dtype=int)
+    for L, noise in ((1, AwgnNoise(0.5)), (2, BinarySymmetric(0.05))):
+        source = MarkovSource(L, np.linspace(0.2, 0.8, 1 << L))
+        channel, trellis = ChannelSpec(L, noise), ch.build_trellis(L, L)
+        rate, se, prob, f, _ = gbaa._forward_rate(trellis, source, channel, n,
+                                                  np.random.default_rng(20244), False)
+        sums = gbaa._scaled_forward(trellis, prob, f, ends, keep_alphas=False)[1]
+        plain = -sums.sum() / n - noise.cond_entropy()
+        plain_se = (-sums / np.diff(ends)).std(ddof=1) / np.sqrt(len(sums))
+        worst = max(worst, abs(rate - plain) / np.hypot(se, plain_se))
+    if worst >= 4.0:
+        raise AssertionError(f"control-variate vs plain gap {worst:.2f} >= 4 combined SE")
+    exact_gap = 0.0
+    for L in (1, 2, 3):
+        source = rates.maxentropic_source(L)
+        est = gbaa.estimate_rate(source, ChannelSpec(L), n, seed=20245)
+        exact_gap = max(exact_gap, abs(est.rate - _from_ground_entropy(source, n)), est.std_err)
+    if exact_gap >= 1e-12:
+        raise AssertionError(f"noiseless estimate or SE off the exact entropy by {exact_gap:.3e}")
+    return (f"max gap {worst:.2f} combined SE (L=1 AWGN, L=2 BSC, n=5000); "
+            f"noiseless L=1..3 exact to {exact_gap:.1e}")
+
+
 def _check_invertibility() -> str:
     for L, n in ((1, 10), (2, 10)):
         src = MarkovSource.constrained(L, 0.3)
@@ -191,6 +232,7 @@ CHECKS = (
     ("min-distance label oracle", _check_min_dist_oracle),
     ("constrained-family invertibility", _check_invertibility),
     ("rate-only vs per-step pass", _check_rate_pass_routes),
+    ("control variates vs plain estimate", _check_control_variates),
 )
 
 

@@ -291,9 +291,9 @@ class TestOptimize:
         src = load_source(source_file)
         assert src.order == 1
 
-    @pytest.mark.parametrize("length, eval_len", [(2000, 100_000), (26_000, 104_000)])
+    @pytest.mark.parametrize("length, eval_len", [(2000, 50_000), (26_000, 104_000)])
     def test_reports_the_rescore_length(self, capsys, tmp_path, length, eval_len):
-        # rate and std_err come from the max(4 len, 1e5)-symbol re-score
+        # rate and std_err come from the max(4 len, 5e4)-symbol re-score
         code, out, _ = run_cli(capsys, "optimize", "--L", "1", "--eps", "0.1",
                                "--iters", "1", "--len", str(length), "--seed", "2",
                                "--out", str(tmp_path))
@@ -405,3 +405,24 @@ class TestSelftest:
         code, out, _ = run_cli(capsys, "selftest", "--seed", "0")
         assert code != 0
         assert "FAIL  rate-only vs per-step pass" in out
+
+    @pytest.mark.parametrize("fault", ["observation term", "entropy means"])
+    def test_control_variate_fault_is_caught(self, capsys, monkeypatch, fault):
+        # B_t off by 0.1 bit a step (a misnormalized emission table) biases the
+        # estimate away from the plain one; E[A] off by 1e-6 a block breaks the
+        # noiseless exactness
+        from p300channel import gbaa
+        sums, means = gbaa._control_sums, gbaa._entropy_block_sums
+
+        def offset_b(source, x, z, f, ends):
+            A, B = sums(source, x, z, f, ends)
+            return A, B + 0.1 * np.diff(ends)
+
+        if fault == "observation term":
+            monkeypatch.setattr(gbaa, "_control_sums", offset_b)
+        else:
+            monkeypatch.setattr(gbaa, "_entropy_block_sums", lambda *a: means(*a) + 1e-6)
+        code, out, _ = run_cli(capsys, "selftest", "--seed", "0")
+        assert code != 0
+        assert "FAIL  control variates vs plain estimate" in out
+        assert "PASS  rate-only vs per-step pass" in out

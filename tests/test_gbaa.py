@@ -9,6 +9,7 @@ from p300channel import (AwgnNoise, BinarySymmetric, ChannelSpec, GbaaConfig,
                          entropy_rate, estimate_rate, fixed_point_a, fsm_response, gbaa_optimize,
                          maxentropic_source, noiseless_rate)
 from gate_oracles import fsm_run
+from rate_oracles import control_variate_rate, history_entropy_means, step_terms
 from p300channel.gbaa import _edge_prob, _scaled_forward
 
 GOLDEN_RATE = 0.6942419136306174
@@ -25,10 +26,96 @@ class TestEstimateRate:
         assert est.rate == pytest.approx(0.0, abs=0.01)
 
     def test_consistency_with_entropy_rate(self):
-        # noiseless channel with a constrained source: rate = input entropy rate
-        src = MarkovSource.constrained(1, 0.30)
-        est = estimate_rate(src, ChannelSpec(1), n=100_000, seed=7)
-        assert abs(est.rate - entropy_rate(src)) < 3 * est.std_err
+        # noiseless channel with a constrained source: x is a function of y, so
+        # D_t = A_t and the estimate is the exact mean input entropy from ground.
+        # That differs from the entropy rate by the transient from ground, whose
+        # sum over t converges geometrically and is computed here to 2000 steps.
+        src, n = MarkovSource.constrained(1, 0.30), 100_000
+        est = estimate_rate(src, ChannelSpec(1), n=n, seed=7)
+        assert abs(est.rate - history_entropy_means(src, n).mean()) < 1e-12
+        assert est.std_err < 1e-12
+        transient = (history_entropy_means(src, 2000) - entropy_rate(src)).sum()
+        assert abs(transient) > 1e-3
+        assert abs(est.rate - (entropy_rate(src) + transient / n)) < 1e-12
+
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_exact_at_the_noiseless_limit(self, L):
+        # the maxentropic source never feeds the gate a blocked 1, so x = z = y,
+        # D_t = A_t, and both the estimate and its standard error are exact
+        src, n = maxentropic_source(L), 5000
+        est = estimate_rate(src, ChannelSpec(L), n=n, seed=L)
+        assert abs(est.rate - history_entropy_means(src, n).mean()) < 1e-12
+        assert est.std_err <= 1e-12
+
+    @pytest.mark.parametrize("L, noise, p1", [(1, AwgnNoise(0.5), [0.7, 0.3]),
+                                              (2, BinarySymmetric(0.05), [0.34, 0.41, 0.34, 0.41])])
+    def test_control_variates_unbiased_and_calibrated(self, monkeypatch, L, noise, p1):
+        # 200 seeds: the control-variate estimate against the plain mean of D
+        # from the same scan's block sums, paired; and its reported standard
+        # error against its spread over the seeds
+        src, chan, n = MarkovSource(L, np.array(p1)), ChannelSpec(L, noise), 20_000
+        plain = []
+        forward = gbaa._scaled_forward
+
+        def spy(*args, **kwargs):
+            alphas, sums = forward(*args, **kwargs)
+            plain.append(-sums.sum() / n - noise.cond_entropy())
+            return alphas, sums
+
+        monkeypatch.setattr(gbaa, "_scaled_forward", spy)
+        ests = [estimate_rate(src, chan, n, seed) for seed in range(200)]
+        rate = np.array([e.rate for e in ests])
+        diff = rate - np.array(plain)
+        assert abs(diff.mean()) <= 3 * diff.std(ddof=1) / np.sqrt(len(diff))
+        rms_se = np.sqrt(np.mean([e.std_err ** 2 for e in ests]))
+        assert 0.85 <= rms_se / rate.std(ddof=1) <= 1.15
+
+    @pytest.mark.parametrize("p1", [
+        np.random.default_rng(3).uniform(0.2, 0.8, 8),   # settles in a few levels
+        [1e-3, 0.5, 1 - 1e-3, 0.5],                      # slow to mix
+        [0.3, 0.0, 0.6, 1.0],   # ground's class and the closed {11}: rows never agree
+    ])
+    @pytest.mark.parametrize("n", [10, 4007])
+    def test_entropy_block_sums_match_the_stepped_law(self, p1, n):
+        # the doubling, with and without its early stop once T^(2^k) has
+        # settled, against the history law stepped from ground one step at a time
+        src = MarkovSource(int(np.log2(len(p1))), np.array(p1))
+        ends = np.linspace(0, n, min(20, n) + 1, dtype=int)
+        want = np.add.reduceat(history_entropy_means(src, n), ends[:-1])
+        assert gbaa._entropy_block_sums(src, ends) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("p1", [[0.5, 0.5], [0.3, 0.6]])
+    def test_a_variate_constant_up_to_rounding_is_left_out(self, monkeypatch, p1):
+        # BSC 1e-10 over 1250 symbols: no bit flips, so B_t is the same float
+        # every step, and the block means of 62 and 63 equal terms differ by
+        # an ulp. Fitted, that B column is collinear with the intercept; left
+        # out, the uniform source leaves no variate (the plain mean exactly)
+        # and the other keeps A (the plain mean within the combined SE)
+        src, n = MarkovSource(1, np.array(p1)), 1250
+        chan = ChannelSpec(1, BinarySymmetric(1e-10))
+        lens = np.diff(np.linspace(0, n, 21, dtype=int))
+        assert set(lens) == {62, 63}
+        plain = []
+        forward = gbaa._scaled_forward
+
+        def spy(*args, **kwargs):
+            # the plain mean and its batch-means SE, blocks weighted by length
+            alphas, sums = forward(*args, **kwargs)
+            mean = -sums.sum() / n
+            s2 = lens @ (-sums / lens - mean) ** 2 / (len(lens) - 1)
+            plain.append((mean - chan.noise.cond_entropy(), np.sqrt(s2 / n)))
+            return alphas, sums
+
+        monkeypatch.setattr(gbaa, "_scaled_forward", spy)
+        for seed in range(3):
+            est = estimate_rate(src, chan, n, seed)
+            want, want_se = plain[-1]
+            if p1 == [0.5, 0.5]:
+                assert est.rate == pytest.approx(want, abs=1e-12)
+                assert est.std_err == pytest.approx(want_se, abs=1e-12)
+            else:
+                assert abs(est.rate - want) <= np.hypot(est.std_err, want_se)
+                assert 0.2 * want_se <= est.std_err <= 2 * want_se
 
     def test_upper_bound_respected(self):
         rng = np.random.default_rng(3)
@@ -116,16 +203,25 @@ class TestInitialState:
 
     @pytest.mark.parametrize("L, r", [(1, 1), (2, 2), (2, 3)])
     def test_estimate_rate_starts_source_gate_and_forward_at_s0(self, L, r):
-        # S_0 is ground: the block estimate_rate scores is the one drawn here
+        # S_0 is ground: the block estimate_rate scores is the one drawn here.
+        # D_t comes from enumerating every prefix of y, and the control
+        # variates from the oracles' own A, B and E[A] on that block.
         eps, n = 0.02, 10
         source = MarkovSource(r, np.random.default_rng(r).uniform(0.3, 0.7, 1 << r))
         channel = ChannelSpec(L, BinarySymmetric(eps))
+        EA = history_entropy_means(source, n)
         for seed in range(3):
             rng = np.random.default_rng(seed)
-            y = apply_noise(fsm_response(source.sample(n, rng), L), channel.noise, rng)
-            want = -_enumerated_log2_py(source, L, eps, y) / n - binary_entropy(eps)
+            x = source.sample(n, rng)
+            z = fsm_response(x, L)
+            y = apply_noise(z, channel.noise, rng)
+            log2p = [0.0] + [_enumerated_log2_py(source, L, eps, y[:t]) for t in range(1, n + 1)]
+            A, B = step_terms(source, x, z, channel.noise.emission(y.astype(np.float64)))
+            want, want_se = control_variate_rate(-np.diff(log2p), A, EA, B, binary_entropy(eps),
+                                                 np.arange(n + 1))
             est = estimate_rate(source, channel, n, seed)
-            assert est.rate == pytest.approx(np.clip(want, 0.0, 1.0), abs=1e-12)
+            assert est.rate == pytest.approx(want, abs=1e-12)
+            assert est.std_err == pytest.approx(want_se, abs=1e-12)
 
 
 class TestForwardRecursion:
@@ -224,4 +320,4 @@ class TestGbaaOptimize:
         gbaa_optimize(ChannelSpec(1, AwgnNoise(0.5)), cfg)
         # iterations 1 and 2: forward and backward tables; iteration 3: none
         assert scans[:5] == [(2_000, True)] * 4 + [(2_000, False)]
-        assert scans[5:] in ([(100_000, False)], [(100_000, False)] * 2)
+        assert scans[5:] in ([(50_000, False)], [(50_000, False)] * 2)

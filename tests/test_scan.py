@@ -23,6 +23,7 @@ from p300channel.gbaa import (_LOOP_STATES, _dense_scan, _edge_prob, _edge_weigh
                                _forward_rate, _scaled_backward, _scaled_forward)
 from p300channel.rates import ConvergenceError
 from p300channel.sources import _chunk_len
+from rate_oracles import control_variate_rate, history_entropy_means, step_terms
 
 TOL = 1e-12
 
@@ -246,19 +247,27 @@ def test_rate_pass_block_ends_anywhere(n, ends):
                                          (3, 3, AwgnNoise(0.25)), (2, 6, AwgnNoise(0.5))])
 @pytest.mark.parametrize("n", [7, 19, 20, 4007])
 def test_rate_estimate_matches_loop(L, r, noise, n):
-    # _forward_rate without alphas (estimate_rate, the last GBAA iteration)
-    # against the loop's per-step normalizers on the same simulated block;
+    # _forward_rate with and without alphas (estimate_rate, the last GBAA
+    # iteration) against the loop's per-step normalizers on the same simulated
+    # block, with the control variates from the oracles' own per-step A and B;
     # S = 64 (r = 6) is one chunk, so its rate pass is the step-by-step sweep
     src = MarkovSource(r, np.random.default_rng(r).uniform(0.1, 0.9, 1 << r))
     tr, chan = build_trellis(r, L), ChannelSpec(L, noise)
+    rng = np.random.default_rng(n)
+    x = src.sample(n, rng)
+    z = fsm_response(x, L)
+    f = noise.emission(np.asarray(apply_noise(z, noise, rng), dtype=np.float64))
+    A, B = step_terms(src, x, z, f)
+    EA = history_entropy_means(src, n)
     for keep in (False, True):
-        rate, se, ep, f, alphas = _forward_rate(tr, src, chan, n, np.random.default_rng(n), keep)
+        rate, se, ep, f_rate, alphas = _forward_rate(tr, src, chan, n, np.random.default_rng(n),
+                                                     keep)
         assert (alphas is None) != keep
-        l_loop = loop_forward(tr, ep, f)[1]
-        ends = _blocks(n)
-        means = -np.array([l_loop[a:b].mean() for a, b in zip(ends[:-1], ends[1:])])
-        assert abs(rate - np.clip(-l_loop.mean() - noise.cond_entropy(), 0.0, 1.0)) < TOL
-        assert abs(se - means.std(ddof=1) / np.sqrt(len(means))) < TOL
+        assert np.array_equal(f_rate, f)
+        D = -loop_forward(tr, ep, f)[1]
+        want, want_se = control_variate_rate(D, A, EA, B, noise.cond_entropy(), _blocks(n))
+        assert abs(rate - want) < TOL
+        assert abs(se - want_se) < TOL
 
 
 @pytest.mark.parametrize("pos", [300, 1169, 1170, 100_001, 199_990])
