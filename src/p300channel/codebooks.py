@@ -272,6 +272,7 @@ def gen_min_dist(W: int, N: int, weight: int = 10, trials: int = 50,
 # ---------------------------------------------------------------------------
 
 _HEADER_RE = re.compile(r"^# W=(\d+) N=(\d+) kind=(\S+) seed=(-?\d+)$")
+_ROW_RE = re.compile(r"[01](?:,[01])*")
 
 
 def codebook_csv_text(book: Codebook) -> str:
@@ -302,25 +303,13 @@ def import_codebook(path) -> Codebook:
     body = lines[1:]
     if len(body) != W:
         raise ValueError(f"{path}: header says W={W} but found {len(body)} rows")
-    # Split every row at once on the UTF-8 bytes; "," and "\n" never occur inside
-    # a multi-byte character, so byte cells are the text's cells.
-    text = "\n".join(body).encode()
-    raw = np.frombuffer(text, dtype=np.uint8)
-    sep = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
-    start = np.concatenate(([0], sep + 1))            # cells in row-major order
-    size = np.concatenate((sep, [raw.size])) - start
-    row = np.concatenate(([0], np.cumsum(raw[sep] == ord("\n"))))
-    widths = np.bincount(row, minlength=W)
-    is_bit = size == 1
-    first = raw[start[is_bit]]
-    is_bit[is_bit] = (first == ord("0")) | (first == ord("1"))
     # the first bad row wins; within a row its length is checked before its cells
-    bad_len, bad_cell = np.flatnonzero(widths != N), np.flatnonzero(~is_bit)
-    i = bad_len[0] if bad_len.size else W
-    if bad_cell.size and row[bad_cell[0]] < i:
-        k = bad_cell[0]
-        cell = text[start[k]:start[k] + size[k]].decode()
-        raise ValueError(f"{path}: row {row[k]} entry {cell!r} is not 0/1")
-    if i < W:
-        raise ValueError(f"{path}: row {i} has {widths[i]} entries, expected N={N}")
+    for i, line in enumerate(body):
+        if len(line) != 2 * N - 1 or not _ROW_RE.fullmatch(line):
+            cells = line.split(",")
+            if len(cells) != N:
+                raise ValueError(f"{path}: row {i} has {len(cells)} entries, expected N={N}")
+            cell = next(c for c in cells if c not in ("0", "1"))
+            raise ValueError(f"{path}: row {i} entry {cell!r} is not 0/1")
+    raw = np.frombuffer("\n".join(body).encode(), dtype=np.uint8)
     return Codebook(raw[::2].reshape(W, N) - ord("0"), kind=kind, seed=seed)

@@ -441,27 +441,27 @@ def _control_fit(d: np.ndarray, X: np.ndarray, lens: np.ndarray) -> tuple[float,
     return mean, float(np.sqrt(resid @ resid / (m - 1 - k) / (e @ e)))
 
 
-def _control_sums(source: MarkovSource, x: np.ndarray, z: np.ndarray, f: np.ndarray,
-                  ends: np.ndarray):
+def _control_sums(trellis: Trellis, prob: np.ndarray, x: np.ndarray, z: np.ndarray,
+                  f: np.ndarray, ends: np.ndarray):
     """Block sums of A_t = -log2 P(x_t | h_t) and B_t = -log2 f[t, z_t].
 
-    Each input and its r-bit history are packed into the code 2 h_t + x_t in
-    the narrowest unsigned dtype, and both sums are taken block by block, so
-    every array of length n has the code's width and every wider temporary is
-    one block long. A transition of probability 0 is never drawn, so its term
+    Each input and the ``trellis.memory`` inputs before it are packed into
+    the index 2 s_t + x_t of the edge it takes, in the narrowest unsigned
+    dtype, so A_t = -log2 prob[edge]. Both sums are taken block by block, so
+    every array of length n has the index's width and every wider temporary
+    is one block long. An edge of probability 0 is never taken, so its term
     is 0.
     """
-    q = np.stack([1.0 - source.p1, source.p1], axis=1).ravel()   # P(x | h) at 2 h + x
     with np.errstate(divide="ignore"):
-        neg_log = np.where(q > 0.0, -np.log2(q), 0.0)
-    xs = x.astype(np.min_scalar_type(q.size - 1))
-    code = xs.copy()
-    for k in range(1, source.order + 1):
-        code[k:] |= xs[:-k] << k
+        neg_log = np.where(prob > 0.0, -np.log2(prob), 0.0)
+    xs = x.astype(np.min_scalar_type(prob.size - 1))
+    edge = xs.copy()
+    for k in range(1, trellis.memory + 1):
+        edge[k:] |= xs[:-k] << k
     A, B = np.empty(len(ends) - 1), np.empty(len(ends) - 1)
     for b in range(len(A)):
         s = slice(ends[b], ends[b + 1])
-        A[b] = np.bincount(code[s], minlength=q.size) @ neg_log
+        A[b] = np.bincount(edge[s], minlength=prob.size) @ neg_log
         B[b] = -np.log2(np.where(z[s], f[s, 1], f[s, 0])).sum()
     return A, B
 
@@ -513,7 +513,7 @@ def _forward_rate(trellis: Trellis, source: MarkovSource, channel: ChannelSpec, 
     ends = np.linspace(0, n, m + 1, dtype=int)
     alphas, sums = _scaled_forward(trellis, prob, f, ends, keep_alphas=keep_alphas)
     lens = np.diff(ends)
-    A, B = _control_sums(source, x, z, f, ends)
+    A, B = _control_sums(trellis, prob, x, z, f, ends)
     ea = _entropy_block_sums(source, ends)
     variates = ((A / lens, ea / lens), (B / lens, noise.cond_entropy()))
     cols = [v - mean for v, mean in variates if np.ptp(v) > 1e-12 * np.abs(v).max()]

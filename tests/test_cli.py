@@ -414,8 +414,8 @@ class TestSelftest:
         from p300channel import gbaa
         sums, means = gbaa._control_sums, gbaa._entropy_block_sums
 
-        def offset_b(source, x, z, f, ends):
-            A, B = sums(source, x, z, f, ends)
+        def offset_b(trellis, prob, x, z, f, ends):
+            A, B = sums(trellis, prob, x, z, f, ends)
             return A, B + 0.1 * np.diff(ends)
 
         if fault == "observation term":

@@ -28,7 +28,7 @@ def min_hamming_loop(matrix):
 
 
 def import_loop(path):
-    """Reference: the per-cell CSV parse the vectorized one replaced."""
+    """Reference: a per-cell CSV parse, independent of the library's row check."""
     with open(path) as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
     if not lines:

@@ -201,7 +201,7 @@ class TestInitialState:
         _, log2c = _scaled_forward(tr, _edge_prob(tr, source), f, np.array([0, 9]))
         assert log2c.sum() == pytest.approx(_enumerated_log2_py(source, L, eps, y), abs=1e-12)
 
-    @pytest.mark.parametrize("L, r", [(1, 1), (2, 2), (2, 3)])
+    @pytest.mark.parametrize("L, r", [(1, 1), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
     def test_estimate_rate_starts_source_gate_and_forward_at_s0(self, L, r):
         # S_0 is ground: the block estimate_rate scores is the one drawn here.
         # D_t comes from enumerating every prefix of y, and the control
