@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Walk through the refractory gate: states, outputs, and the run-length law.
 
-A flash (input 1) elicits a response (z = 1) only from the ground state;
-it then locks the gate for L steps. Zeros advance the lock until it
-releases. The net effect: responses are separated by at least L zeros.
+A flash (input 1) elicits a response (z = 1) only when none of the
+previous L inputs was a 1. Every flash, answered or not, restarts the lock
+for L steps; zeros advance the lock until it releases. The net effect:
+responses are separated by at least L zeros.
 """
 
 import numpy as np

@@ -1,8 +1,8 @@
 """Refractory finite-state channel model of the P300 speller.
 
-A binary flash sequence drives a deterministic gate (an input 1 only
-produces a response when at least L zeros have passed since the previous
-response) followed by a memoryless noise law. The package computes the
+A binary flash sequence drives a deterministic gate (an input 1 produces
+a response only when none of the previous L inputs was 1; every 1 restarts
+the lock) followed by a memoryless noise law. The package computes the
 channel's information rates, optimizes Markov input laws, generates flash
 codebooks, and scores them by Monte Carlo spelling simulation.
 """

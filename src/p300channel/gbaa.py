@@ -553,28 +553,27 @@ def _edge_weights(trellis: Trellis, prob: np.ndarray, alphas: np.ndarray, betas:
     on support edges and the weight matrix collapses to the constraint-graph
     adjacency; with a single state the update reduces to the memoryless
     Blahut-Arimoto rule q' being proportional to 2^T. Edges with no posterior
-    mass get weight 0 and stay off the graph.
+    mass, or of probability 0, get weight 0 and stay off the graph. The sums
+    run over time blocks of 2^15 numbers, so no array has n rows.
     """
-    n = f.shape[0]
-    ef = trellis.edge_from
-    E = ef.size
-    sigma = alphas[:-1][:, ef] * prob * f[:, trellis.edge_z] * betas[1:][:, trellis.edge_to]
-    norm = sigma.sum(axis=1, keepdims=True)
-    if np.any(norm <= 0.0):
-        raise ConvergenceError("posterior normalization collapsed")
-    sigma /= norm
-    gamma = sigma.reshape(n, trellis.num_states, 2).sum(axis=2)   # edges 2s, 2s+1 leave s
-    weights = np.zeros(E)
-    visits = sigma.sum(axis=0)
-    for e in range(E):
-        if visits[e] <= 0.0 or prob[e] <= 0.0:
-            continue
-        se = sigma[:, e]
-        mask = se > 0.0
-        ratio = se[mask] / gamma[mask, ef[e]]
-        t_e = np.sum(se[mask] * np.log2(ratio)) / visits[e]
-        weights[e] = 2.0 ** t_e
-    return weights
+    n, S, ef = f.shape[0], trellis.num_states, trellis.edge_from
+    rows = max(1, 2 ** 15 // ef.size)   # 2^15 numbers a block, as in _chunk_len
+    visits, total = np.zeros(ef.size), np.zeros(ef.size)
+    for lo in range(0, n, rows):
+        hi = min(n, lo + rows)
+        sigma = (alphas[lo:hi, ef] * prob * f[lo:hi, trellis.edge_z]
+                 * betas[lo + 1:hi + 1, trellis.edge_to])
+        norm = sigma.sum(axis=1, keepdims=True)
+        if np.any(norm <= 0.0):
+            raise ConvergenceError("posterior normalization collapsed")
+        sigma /= norm
+        pair = sigma.reshape(-1, S, 2)   # edges 2s, 2s+1 leave s; their sum is gamma_s
+        ratio = np.divide(pair, pair.sum(axis=2, keepdims=True), out=np.ones_like(pair),
+                          where=pair > 0.0)   # sigma / gamma, 1 where sigma = 0
+        visits += sigma.sum(axis=0)
+        total += (sigma * np.log2(ratio).reshape(sigma.shape)).sum(axis=0)
+    live = (visits > 0.0) & (prob > 0.0)
+    return np.where(live, 2.0 ** (total / np.where(live, visits, 1.0)), 0.0)
 
 
 def _maxentropic_update(trellis: Trellis, weights: np.ndarray) -> np.ndarray:

@@ -34,9 +34,10 @@ def _decode(Y: np.ndarray, Z: np.ndarray, noise) -> np.ndarray:
     scores are gathered back to the rows, so rows with the same response
     (refractory twins) get bit-identical scores.
     """
-    Zu, inv = np.unique(Z, axis=0, return_inverse=True)
+    rows = np.ascontiguousarray(Z).view(np.dtype((np.void, Z.shape[1] * Z.dtype.itemsize)))
+    _, first, inv = np.unique(rows.ravel(), return_index=True, return_inverse=True)
     return np.argmax(noise.score(Y.astype(np.float64, copy=False),
-                                 Zu.astype(np.float64))[:, inv], axis=1)
+                                 Z[first].astype(np.float64))[:, inv], axis=1)
 
 
 def map_decode(y, book: Codebook, channel: ChannelSpec) -> int:

@@ -6,13 +6,16 @@ the exact means of A by repeated squaring of the history chain, and fits the
 variates on centred columns. Here A and B come from a loop over the steps,
 the means of A from the history law propagated one step at a time, and the
 fit from the normal equations of the weighted design [1, A - E A, B - E B].
+
+The library reduces the GBAA edge metric by time blocks, all edges at once;
+here it comes from the whole (n, 2S) posterior table, one edge at a time.
 """
 
 import math
 
 import numpy as np
 
-from p300channel import binary_entropy
+from p300channel import ConvergenceError, binary_entropy
 
 
 def history_entropy_means(source, n: int) -> np.ndarray:
@@ -71,3 +74,31 @@ def control_variate_rate(D, A, EA, B, cond_entropy: float, ends) -> tuple[float,
     dof = m - X.shape[1]
     se = math.sqrt(resid @ W @ resid / dof * np.linalg.inv(G)[0, 0]) if dof else 0.0
     return float(np.clip(EA.mean() + coef[0] - cond_entropy, 0.0, 1.0)), se
+
+
+def edge_weights_loop(trellis, prob, alphas, betas, f) -> np.ndarray:
+    """2^T_e per edge, T_e = sum_t sigma_e log2(sigma_e / gamma_from(e)) / sum_t sigma_e.
+
+    sigma is the (n, 2S) edge posterior and gamma the (n, S) state posterior;
+    an edge with no posterior mass or probability 0 weighs 0.
+    """
+    n = f.shape[0]
+    ef = trellis.edge_from
+    E = ef.size
+    sigma = alphas[:-1][:, ef] * prob * f[:, trellis.edge_z] * betas[1:][:, trellis.edge_to]
+    norm = sigma.sum(axis=1, keepdims=True)
+    if np.any(norm <= 0.0):
+        raise ConvergenceError("posterior normalization collapsed")
+    sigma /= norm
+    gamma = sigma.reshape(n, trellis.num_states, 2).sum(axis=2)   # edges 2s, 2s+1 leave s
+    weights = np.zeros(E)
+    visits = sigma.sum(axis=0)
+    for e in range(E):
+        if visits[e] <= 0.0 or prob[e] <= 0.0:
+            continue
+        se = sigma[:, e]
+        mask = se > 0.0
+        ratio = se[mask] / gamma[mask, ef[e]]
+        t_e = np.sum(se[mask] * np.log2(ratio)) / visits[e]
+        weights[e] = 2.0 ** t_e
+    return weights

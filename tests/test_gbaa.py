@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from p300channel import (AwgnNoise, BinarySymmetric, ChannelSpec, GbaaConfig,
                          entropy_rate, estimate_rate, fixed_point_a, fsm_response, gbaa_optimize,
                          maxentropic_source, noiseless_rate)
 from gate_oracles import fsm_run
-from rate_oracles import control_variate_rate, history_entropy_means, step_terms
-from p300channel.gbaa import _edge_prob, _scaled_forward
+from rate_oracles import (control_variate_rate, edge_weights_loop, history_entropy_means,
+                          step_terms)
+from p300channel.gbaa import _edge_prob, _edge_weights, _scaled_backward, _scaled_forward
+from p300channel.rates import ConvergenceError
 
 GOLDEN_RATE = 0.6942419136306174
 
@@ -241,6 +244,73 @@ class TestForwardRecursion:
         assert BinarySymmetric(0.0).cond_entropy() == 0.0
         assert BinarySymmetric(0.2).cond_entropy() == pytest.approx(0.7219280948873623)
         assert AwgnNoise(1.0).cond_entropy() == pytest.approx(0.5 * np.log2(2 * np.pi * np.e))
+
+
+def _posteriors(source, L, noise, n, seed):
+    """(trellis, edge probabilities, alphas, betas, emission table) of one simulated block."""
+    rng = np.random.default_rng(seed)
+    y = apply_noise(fsm_response(source.sample(n, rng), L), noise, rng)
+    tr = build_trellis(source.order, L)
+    prob = _edge_prob(tr, source)
+    f = noise.emission(np.asarray(y, dtype=np.float64))
+    alphas, _ = _scaled_forward(tr, prob, f, np.array([0, n]))
+    return tr, prob, alphas, _scaled_backward(tr, prob, f), f
+
+
+def _block_rows(S):
+    return max(1, 2 ** 15 // (2 * S))
+
+
+def _assert_matches_loop(args):
+    got, want = _edge_weights(*args), edge_weights_loop(*args)
+    assert np.array_equal(got == 0.0, want == 0.0)
+    assert np.max(np.abs(got - want) / np.where(want > 0.0, want, 1.0)) < 1e-12
+    return got
+
+
+class TestEdgeWeights:
+    """The time-blocked edge metric against the per-edge loop over the whole posterior table."""
+
+    @pytest.mark.parametrize("L, r", [(1, 1), (2, 3), (2, 6)])   # S = 2, 8, 64
+    def test_matches_the_per_edge_loop_at_every_block_edge(self, L, r):
+        rows = _block_rows(1 << r)
+        src = MarkovSource(r, np.random.default_rng(r).uniform(0.1, 0.9, 1 << r))
+        for n in (1, rows - 1, rows, rows + 1, 3 * rows + 7):
+            _assert_matches_loop(_posteriors(src, L, AwgnNoise(0.5), n, seed=n))
+
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_noiseless_blocked_edges_weigh_exactly_zero(self, L):
+        n = 3 * _block_rows(1 << L) + 7
+        args = _posteriors(maxentropic_source(L), L, BinarySymmetric(0.0), n, seed=L)
+        prob = args[1]
+        weights = _assert_matches_loop(args)
+        assert np.any(prob == 0.0) and np.all(weights[prob == 0.0] == 0.0)
+        # noiseless: every visited edge has T = 0; edges out of unreachable states weigh 0
+        assert np.all((weights == 0.0) | (np.abs(weights - 1.0) < 1e-12))
+
+    def test_collapse_in_a_later_block_raises(self):
+        rows = _block_rows(8)
+        tr, prob, alphas, betas, f = _posteriors(maxentropic_source(2), 2, AwgnNoise(0.5),
+                                                 3 * rows + 7, seed=3)
+        alphas[2 * rows + 5] = 0.0   # no posterior mass at one step of the third block
+        for fn in (_edge_weights, edge_weights_loop):
+            with pytest.raises(ConvergenceError, match="posterior normalization collapsed"):
+                fn(tr, prob, alphas, betas, f)
+
+    def test_peak_memory_holds_no_table_with_n_rows(self):
+        n, r = 50_000, 6   # S = 64: the full (n, 2S) posterior table alone is 51 MB
+        rng = np.random.default_rng(0)
+        tr = build_trellis(r, 2)
+        prob = _edge_prob(tr, MarkovSource(r, rng.uniform(0.1, 0.9, 1 << r)))
+        alphas, betas = rng.random((2, n + 1, 1 << r))
+        f = AwgnNoise(0.5).emission(rng.integers(0, 2, n).astype(np.float64))
+        tracemalloc.start()
+        try:
+            _edge_weights(tr, prob, alphas, betas, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 class TestGbaaOptimize:
