@@ -29,9 +29,11 @@ def binary_entropy(p: float) -> float:
 # A noise law maps gate outputs z to observations y. Each law draws y
 # (``sample``), gives the per-symbol likelihoods p(y_t | z) that the trellis
 # recursions use (``emission``), the closed-form (1/n) E[-log2 p(Y|X)]
-# (``cond_entropy``), its echo in reports (``summary``), and the per-codeword
-# decoder score (``score``): log p(y | z) in the law's own log base, up to a
-# term that is the same for every codeword.
+# (``cond_entropy``), a per-step value whose mean given the simulated past is
+# the expected surprise of the predictive mixture (``mixture_surprise``), its
+# echo in reports (``summary``), and the per-codeword decoder score
+# (``score``): log p(y | z) in the law's own log base, up to a term that is
+# the same for every codeword.
 
 @dataclass(frozen=True)
 class AwgnNoise:
@@ -40,8 +42,8 @@ class AwgnNoise:
     variance: float
 
     def __post_init__(self):
-        if not self.variance > 0:
-            raise ValueError(f"AWGN variance must be positive, got {self.variance}")
+        if not 0 < self.variance < np.inf:
+            raise ValueError(f"AWGN variance must be positive and finite, got {self.variance}")
 
     def sample(self, z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return z + rng.normal(0.0, np.sqrt(self.variance), z.shape)
@@ -61,6 +63,29 @@ class AwgnNoise:
 
     def cond_entropy(self) -> float:
         return float(0.5 * np.log2(2.0 * np.pi * np.e * self.variance))
+
+    def mixture_surprise(self, y: np.ndarray, z: np.ndarray, q: np.ndarray,
+                         w: np.ndarray) -> np.ndarray:
+        """Per-step unbiased estimates of E[-log2 p_q(Y_t) | past], Y_t from weight ``w`` on z = 1.
+
+        p_q = (1 - q) f(. | 0) + q f(. | 1). As g_t = y_t - z_t is symmetric and
+        independent of the past and of z_t, -log2 p_q averaged over z' +- g_t and
+        weighed over z' is unbiased. Factors whose log leaves [-708, 708] (q in
+        {0, 1}, a tiny sigma) are redone in the log domain. ``w`` may stack on axis 0.
+        """
+        g, q = np.broadcast_arrays(y - z, q)
+        lam = 0.5 / self.variance
+        lo, hi = lam * (-2.0 * g - 1.0), lam * (2.0 * g - 1.0)   # ln phi(g +- 1) / phi(g)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            p, e_lo, e_hi = 1.0 - q, np.exp(lo), np.exp(hi)
+            ln = np.log([p + q * e_hi, p + q * e_lo, p * e_lo + q, p * e_hi + q])   # y = g, -g,
+            bad = ~(np.abs(ln) <= 708.0).all(0)                                   # 1 + g, 1 - g
+            if bad.any():
+                l0, l1, lo, hi = np.log1p(-q[bad]), np.log(q[bad]), lo[bad], hi[bad]
+                ln[:, bad] = np.logaddexp([l0, l0, l0 + lo, l0 + hi], [l1 + hi, l1 + lo, l1, l1])
+        at0, at1 = ln[0] + ln[1], ln[2] + ln[3]
+        neg_ln_phi = lam * g * g + 0.5 * np.log(2.0 * np.pi * self.variance)
+        return (neg_ln_phi - 0.5 * (at0 + w * (at1 - at0))) / np.log(2.0)
 
     def summary(self) -> dict:
         return {"kind": "awgn", "sigma2": self.variance}
@@ -101,6 +126,19 @@ class BinarySymmetric:
 
     def cond_entropy(self) -> float:
         return binary_entropy(self.crossover)
+
+    def mixture_surprise(self, y: np.ndarray, z: np.ndarray, q: np.ndarray,
+                         w: np.ndarray) -> np.ndarray:
+        """Per-step E[-log2 p_q(Y_t)], Y_t from weight ``w`` on z = 1, as the exact two-output sum.
+
+        ``y`` and ``z`` are not read; an output of probability 0 adds 0.
+        """
+        eps, total = self.crossover, 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for a, b in ((1.0 - eps, eps), (eps, 1.0 - eps)):   # P(y | z = 0), P(y | z = 1)
+                p, pw = (1.0 - q) * a + q * b, (1.0 - w) * a + w * b
+                total = total - np.where(pw > 0.0, pw * np.log2(p), 0.0)
+        return total
 
     def summary(self) -> dict:
         if self.crossover == 0.0:

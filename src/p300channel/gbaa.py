@@ -3,12 +3,11 @@
 The rate of a Markov source over the gate-plus-noise channel is estimated
 from one long simulated realization: a scaled forward recursion over the
 joint input-history trellis gives -log2 p(y_1^n), and the conditional term
--log2 p(y_1^n | x_1^n) has a closed per-symbol form for each noise law. Two
-per-step terms with exactly known means, -log2 P(x_t | h_t) from the
-sampled inputs and -log2 p(y_t | z_t) from the emission table, are fitted as
-control variates over 20 blocks. On the channels measured that cuts the
-variance by 1.3x to 3.3x, and it makes the estimate exact in the noiseless
-limit.
+-log2 p(y_1^n | x_1^n) has a closed per-symbol form for each noise law. Five
+per-step terms of exactly known mean, from the inputs, the emission table and
+the noise law's unbiased estimate of each step's predictive surprise, are
+fitted as control variates over 20 blocks: on ten channels, 2x to 2.7e6x less
+variance than the earlier two-term fit, and exact in the noiseless limit.
 
 The optimizer iterates the stochastic generalization of the Blahut-Arimoto
 update: forward-backward posteriors turn the simulated block into a noisy
@@ -26,12 +25,8 @@ boundaries, a sweep inside all groups), then a sweep inside all chunks at
 once. A length-n pass takes about 6 n^(1/3) vectorized Python steps instead
 of n; from 64 trellis states on it is the plain step-by-step loop. The chunk
 products are renormalized only before a step that could take a row sum out
-of [2^-64, 2^64], which the emission table alone bounds, so an entry
-flushes to zero below 2^-1010 of its row sum (2^-1074 for a product
-renormalized at every step). A pass that needs only the rate (a rate
-estimate, the last GBAA iteration) skips the sweep inside the chunks: its
-20 block sums of log2 normalizers come from the chunk products, snapshots
-taken at the block ends, and the chunk boundary vectors.
+of [2^-64, 2^64], which the emission table alone bounds, so an entry flushes
+to zero below 2^-1010 of its row sum (2^-1074 if renormalized every step).
 """
 
 from __future__ import annotations
@@ -132,16 +127,13 @@ def _renormalize(P: np.ndarray, rho: np.ndarray) -> None:
     rho += np.log2(rs)
 
 
-def _chunk_products(f, gather, prob, zsel, C: int, snap_k, snap_i):
+def _chunk_products(f, gather, prob, zsel, C: int):
     """Phase 1 of :func:`_chunked_scan`: the transfer product of each of the K chunks.
 
     All chunks advance at once, one step at a time, renormalized as
     :func:`_renorm_schedule` says and always after the last step. The last
     chunk may be short; its weights are zero past its end. Returns the
-    row-normalized (S, S, K) products and their (S, K) row log2 scales,
-    plus, for each (chunk ``snap_k[b]``, offset ``snap_i[b]`` in 1..C), that
-    chunk's product after its first ``snap_i[b]`` steps, as (B, S, S)
-    products and (B, S) row scales.
+    row-normalized (S, S, K) products and their (S, K) row log2 scales.
     """
     n, S = f.shape[0], gather.shape[0]
     K = -(-n // C)
@@ -150,22 +142,10 @@ def _chunk_products(f, gather, prob, zsel, C: int, snap_k, snap_i):
     rho = np.zeros((S, K))
     nxt, edge = np.empty_like(P), np.empty_like(P)
     w = np.empty((S, 2, K))
-    snaps = {}                                 # offset -> indices of its snapshots
-    for b, i in enumerate(snap_i.tolist()):
-        snaps.setdefault(i, []).append(b)
-    Psnap, rsnap = np.empty((len(snap_k), S, S)), np.empty((len(snap_k), S))
-
-    def snapshot(i):
-        if i in snaps:
-            bs = snaps[i]
-            Psnap[bs] = P[:, :, snap_k[bs]].transpose(2, 0, 1)
-            rsnap[bs] = rho[:, snap_k[bs]].T
-
     renorm = _renorm_schedule(f, gather, prob, C)
     for i in range(C):   # "clip" never clips here; it lets take fill out unbuffered
         if renorm[i]:
             _renormalize(P, rho)
-        snapshot(i)
         if i == n - (K - 1) * C:               # past the end of a short last chunk
             w[..., -1] = 0.0
         fi = f[i::C].T                                        # (Z, chunks with a step i)
@@ -177,19 +157,19 @@ def _chunk_products(f, gather, prob, zsel, C: int, snap_k, snap_i):
         P, nxt = nxt, P
         P += edge
     _renormalize(P, rho)
-    snapshot(C)
-    return P, rho, Psnap, rsnap
+    return P, rho
 
 
 def _chunked_scan(f: np.ndarray, v0: np.ndarray, gather: np.ndarray, prob: np.ndarray,
-                  zsel: np.ndarray, ends: np.ndarray, keep: bool):
+                  zsel: np.ndarray, ends: np.ndarray, keep: bool,
+                  readout: np.ndarray | None = None):
     """Normalized linear recursion v_{t+1}[j] ∝ sum_m v_t[gather[j, m]] w_t[j, m].
 
     ``w_t[j, m] = prob[j, m] * f[t, zsel[j, m]]`` is the weight of the m-th of
     the two trellis edges that feed entry j, and c_t = |v_t w_t| is the
     normalizer of step t. The n steps are split into K chunks of
     C = ``_chunk_len(n, S^2)`` steps, about 2 n^(1/3) for S <= 4, and run in
-    up to three vectorized passes:
+    three vectorized passes:
 
     1. the S x S transfer product of each chunk, all chunks at once, one step
        at a time (:func:`_chunk_products`). Rows are renormalized, with their
@@ -197,29 +177,23 @@ def _chunked_scan(f: np.ndarray, v0: np.ndarray, gather: np.ndarray, prob: np.nd
        [2^-64, 2^64] (``_ROW_BITS``) and after the last step; so no row
        underflows against another, and an entry flushes to zero only below
        2^-1010 of its row sum;
-    2. the normalized vector at every chunk boundary and the log2 increment
-       of each chunk, from a two-level scan over the products
-       (:func:`_dense_scan`, about 3 sqrt(K) steps);
+    2. the normalized vector at every chunk boundary, from a two-level scan
+       over the products (:func:`_dense_scan`, about 3 sqrt(K) steps);
     3. a C-step sweep inside all chunks at once, from their boundary vectors,
        which repeats the step-by-step recursion and yields every vector and
        every normalizer.
 
     The chunk index is the innermost axis of phases 1 and 3, so numpy's inner
     loops run over the chunks. That is 2C + 3 sqrt(K) Python steps instead of
-    n: about 6 n^(1/3), or 280 at n = 1e5 (190 without phase 3, as in a
-    pass that keeps no vectors; see below). Phase 1 costs about n S^2
+    n: about 6 n^(1/3), or 280 at n = 1e5. Phase 1 costs about n S^2
     operations against phase 3's n S, so from ``_LOOP_STATES`` states on
     C = n: K = 1, phases 1 and 2 are skipped, and phase 3 is the
     step-by-step loop.
 
     Returns the (n+1, S) vectors (None unless ``keep``), the sums of log2 c_t
     over the blocks [ends[b], ends[b+1]) of the increasing ``ends`` (from 0
-    to n), and the first step whose normalizer is zero or not finite (None
-    if there is none), a collapse that the caller reports. A pass that keeps
-    no vectors skips phase 3: phase 1 also snapshots each chunk that holds a
-    block end, after the steps up to that end, and the block sums come from
-    those snapshots, the boundary vectors and the chunk increments. If one of
-    them is not finite, phase 3 runs after all and finds the collapsed step.
+    to n), the first step whose normalizer is zero or not finite (None if
+    none), which the caller reports, and ``readout`` . v_t for every t < n.
     """
     n = f.shape[0]
     S = v0.size
@@ -227,22 +201,9 @@ def _chunked_scan(f: np.ndarray, v0: np.ndarray, gather: np.ndarray, prob: np.nd
     K = -(-n // C)
     with np.errstate(divide="ignore", invalid="ignore"):
         if K > 1:
-            # block end e lies in chunk k = (e - 1) // C, after its first e - k C steps
-            snap = np.empty(0, dtype=int) if keep else ends[1:]
-            k = (snap - 1) // C
-            P, rho, Psnap, rsnap = _chunk_products(f, gather, prob, zsel, C, k, snap - k * C)
-            b, inc = _dense_scan(v0, rho[:, :K - 1].T, P[:, :, :K - 1].transpose(2, 0, 1))
+            P, rho = _chunk_products(f, gather, prob, zsel, C)
+            v = _dense_scan(v0, rho[:, :K - 1].T, P[:, :, :K - 1].transpose(2, 0, 1)).T
             del P
-            if not keep:
-                # log2 mass at each block end, from the normalized vector at its chunk's start
-                a, t = _dense_step(b[k][:, None], rsnap, Psnap)
-                mass = t[:, 0, 0] + np.log2(a.sum((1, 2)))
-                k, mass = np.r_[0, k], np.r_[0.0, mass]
-                sums = np.array([inc[k[j]:k[j + 1]].sum() for j in range(len(k) - 1)])
-                sums += np.diff(mass)
-                if np.isfinite(sums).all():
-                    return None, sums, None
-            v = b.T
         else:
             v = v0[:, None]
 
@@ -250,15 +211,18 @@ def _chunked_scan(f: np.ndarray, v0: np.ndarray, gather: np.ndarray, prob: np.nd
         if keep:
             vs[0] = v0
         scale = np.empty(n)
+        reads = None if readout is None else np.empty(n)
         for i in range(C):
             fi = f[i::C].T                                     # (Z, rows)
+            if reads is not None:
+                reads[i::C] = readout @ v[:, :fi.shape[1]]
             v = (v[gather, :fi.shape[1]] * (prob[..., None] * fi[zsel])).sum(1)
             c = v.sum(0)
             v /= c
             scale[i::C] = c
             if keep:
                 vs[i + 1::C] = v.T
-        return vs, np.add.reduceat(np.log2(scale), ends[:-1]), _first_collapse(scale)
+        return vs, np.add.reduceat(np.log2(scale), ends[:-1]), _first_collapse(scale), reads
 
 
 _FLOOR = -np.finfo(np.float64).max
@@ -282,21 +246,20 @@ def _dense_step(v: np.ndarray, rho: np.ndarray, P: np.ndarray):
     return np.exp2(g, out=g) @ P, t
 
 
-def _normalized(a: np.ndarray, t: np.ndarray):
-    """Rows of a 2^t as (rows scaled to sum 1, log2 of their sums); a zero row stays zero."""
+def _normalized(a: np.ndarray) -> np.ndarray:
+    """Rows of ``a`` scaled to sum 1, in place; a zero row stays zero."""
     s = np.add.reduce(a, -1, keepdims=True)
-    return np.divide(a, s, out=a, where=s > 0.0), t + np.log2(s)
+    return np.divide(a, s, out=a, where=s > 0.0)
 
 
-def _dense_scan(v0: np.ndarray, rho: np.ndarray, P: np.ndarray):
-    """Normalized b_0 = v0, ..., b_M with b_{k+1} ∝ b_k diag(2^rho[k]) P[k], and their scales.
+def _dense_scan(v0: np.ndarray, rho: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Normalized b_0 = v0, ..., b_M with b_{k+1} ∝ b_k diag(2^rho[k]) P[k], as (M+1, S).
 
     A two-level scan over the M dense S x S products, in groups of
     D = ceil(sqrt(M)): the product of each of the first G-1 groups, all
     groups at once (D-1 steps); a walk over the G group boundaries; then a
     D-step sweep inside all groups from their boundary vectors. Only that
-    sweep normalizes its vectors. Returns the (M+1, S) vectors and the M
-    log2 increments log2 |b_k diag(2^rho[k]) P[k]|.
+    sweep normalizes its vectors.
     """
     M, S = rho.shape
     D = math.isqrt(M - 1) + 1
@@ -310,20 +273,23 @@ def _dense_scan(v0: np.ndarray, rho: np.ndarray, P: np.ndarray):
     v[0] = v0
     for g in range(G - 1):
         v[g + 1] = _dense_step(v[g], sig[g], Q[g])[0]
-    v = _normalized(v, 0.0)[0]
+    v = _normalized(v)
     out = np.empty((M + 1, S))
     out[0] = v0
-    inc = np.empty(M)
     for i in range(D):
-        v, s = _normalized(*_dense_step(v[:len(range(i, M, D))], rho[i::D], P[i::D]))
+        v = _normalized(_dense_step(v[:len(range(i, M, D))], rho[i::D], P[i::D])[0])
         out[i + 1::D] = v[:, 0]
-        inc[i::D] = s[:, 0, 0]
-    return out, inc
+    return out
 
 
 def _first_collapse(scale: np.ndarray) -> int | None:
     bad = np.flatnonzero(~((scale > 0.0) & np.isfinite(scale)))
     return int(bad[0]) if bad.size else None
+
+
+def _response_prob(trellis: Trellis, prob: np.ndarray) -> np.ndarray:
+    """P(z = 1 | state): the probability of the z = 1 edge out of each state, or 0."""
+    return np.where(trellis.edge_z[1::2] == 1, prob[1::2], 0.0)   # edge 2s + 1 has input 1
 
 
 def _scaled_forward(trellis: Trellis, prob: np.ndarray, f: np.ndarray, ends: np.ndarray,
@@ -332,18 +298,18 @@ def _scaled_forward(trellis: Trellis, prob: np.ndarray, f: np.ndarray, ends: np.
 
     alpha_{t+1}[j] ∝ sum over the edges e into j of alpha_t[from(e)] p_e f[t, z_e],
     from the all-zero history.
-    Returns (alphas, the sums of the per-step log2 scale factors over the
-    blocks between ``ends``); alphas is None unless ``keep_alphas``, so a rate
-    estimate holds no (n+1, S) table and makes no step-by-step sweep.
+    Returns (alphas, or None unless ``keep_alphas``; the sums of the log2
+    scale factors over the blocks between ``ends``; every step's prediction
+    q_t = P(z_t = 1 | y_1^{t-1}) of the gate output).
     """
     v0 = np.zeros(trellis.num_states)
     v0[0] = 1.0
     e = trellis.in_edges
-    alphas, sums, t = _chunked_scan(f, v0, trellis.edge_from[e], prob[e], trellis.edge_z[e],
-                                    ends, keep_alphas)
+    alphas, sums, t, q = _chunked_scan(f, v0, trellis.edge_from[e], prob[e], trellis.edge_z[e],
+                                       ends, keep_alphas, _response_prob(trellis, prob))
     if t is not None:
         raise ConvergenceError(f"forward recursion collapsed at step {t}")
-    return alphas, sums
+    return alphas, sums, q
 
 
 def _scaled_backward(trellis: Trellis, prob: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -355,8 +321,8 @@ def _scaled_backward(trellis: Trellis, prob: np.ndarray, f: np.ndarray) -> np.nd
     n = f.shape[0]
     S = trellis.num_states
     e = trellis.out_edges
-    rev, _, t = _chunked_scan(f[::-1], np.full(S, 1.0 / S), trellis.edge_to[e], prob[e],
-                              trellis.edge_z[e], np.array([0, n]), keep=True)
+    rev, _, t, _ = _chunked_scan(f[::-1], np.full(S, 1.0 / S), trellis.edge_to[e], prob[e],
+                                 trellis.edge_z[e], np.array([0, n]), keep=True)
     if t is not None:
         raise ConvergenceError(f"backward recursion collapsed at step {n - 1 - t}")
     return rev[::-1]
@@ -372,7 +338,7 @@ _MIN_VARIANCE = 2.0 ** -64
 
 
 def _entropy_block_sums(source: MarkovSource, ends: np.ndarray) -> np.ndarray:
-    """Exact sums of E[A_t] = sum_h P(h_t = h) H_b(p1[h]) over the blocks between ``ends``.
+    """Exact sums of E[S_t] = sum_h P(h_t = h) H_b(p1[h]) over the blocks between ``ends``.
 
     The history law starts at the all-zero history e_0 and moves by the
     transition matrix T, so the sum over t < e is F(e) = e_0 sum_{s<e} T^s hb,
@@ -389,7 +355,7 @@ def _entropy_block_sums(source: MarkovSource, ends: np.ndarray) -> np.ndarray:
     has settled to 1 pi, and so has every later power: each later run of 2^k
     steps adds pi . sum_{s<2^k} T^s hb, the remaining digits of every end
     are summed in that closed form, and the doubling stops. Each later
-    E[A_t] is then off by at most 1e-14 bit. A well-mixed chain settles
+    E[S_t] is then off by at most 1e-14 bit. A well-mixed chain settles
     in about 6 to 10 levels, and only those cost an H x H squaring. A periodic
     chain (p1 in {0, 1}), or one whose law depends on which closed class it
     starts in, never settles and runs every level, so it stays exact.
@@ -424,16 +390,22 @@ def _control_fit(d: np.ndarray, X: np.ndarray, lens: np.ndarray) -> tuple[float,
     (e . y) / (e . e), where e and y are the weighted intercept column and d
     with the variates partialled out (Gram-Schmidt, so no LAPACK workspace is
     touched), and its variance is s^2 / (e . e), with s^2 from the residuals
-    over m - 1 - k degrees of freedom (m blocks, k variates). The intercept
-    is the overall mean of d less beta . (the overall mean of X); with no
-    variate it is the plain mean with its batch-means standard error.
+    over m - 1 - k degrees of freedom (m blocks, k variates). A variate left
+    with at most 1e-12 of its norm by the earlier ones is rounding in their
+    span (R_q and R_h against A' in the noiseless limit); it is skipped and
+    not counted in k. With no variate the intercept is the plain mean.
     """
     m, k = X.shape
     M = np.column_stack([X, np.ones(m), d]) * np.sqrt(lens)[:, None]
+    norms = np.linalg.norm(M, axis=0)
     for j in range(k):
-        q = M[:, j] / np.sqrt(M[:, j] @ M[:, j])
+        norm = np.sqrt(M[:, j] @ M[:, j])
+        if norm <= 1e-12 * norms[j]:
+            k -= 1
+            continue
+        q = M[:, j] / norm
         M[:, j + 1:] -= np.outer(q, q @ M[:, j + 1:])
-    e, y = M[:, k], M[:, k + 1]
+    e, y = M[:, -2], M[:, -1]
     mean = float(e @ y / (e @ e))
     if m == 1:
         return mean, 0.0
@@ -441,58 +413,65 @@ def _control_fit(d: np.ndarray, X: np.ndarray, lens: np.ndarray) -> tuple[float,
     return mean, float(np.sqrt(resid @ resid / (m - 1 - k) / (e @ e)))
 
 
-def _control_sums(trellis: Trellis, prob: np.ndarray, x: np.ndarray, z: np.ndarray,
-                  f: np.ndarray, ends: np.ndarray):
-    """Block sums of A_t = -log2 P(x_t | h_t) and B_t = -log2 f[t, z_t].
+def _control_sums(trellis: Trellis, prob: np.ndarray, noise, x: np.ndarray, z: np.ndarray,
+                  y: np.ndarray, f: np.ndarray, q: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Block sums of A'_t, S_t, B_t, V_t(q_t) and V_t(pz1_t) (:func:`_forward_rate`), as rows.
 
-    Each input and the ``trellis.memory`` inputs before it are packed into
-    the index 2 s_t + x_t of the edge it takes, in the narrowest unsigned
-    dtype, so A_t = -log2 prob[edge]. Both sums are taken block by block, so
-    every array of length n has the index's width and every wider temporary
-    is one block long. An edge of probability 0 is never taken, so its term
-    is 0.
+    Each input and the ``trellis.memory`` inputs before it are packed into the
+    narrowest unsigned index 2 h_t + x_t of its edge; A', S and pz1_t (at
+    h_t = edge >> 1) are read off it. Wider temporaries are one block long.
     """
     with np.errstate(divide="ignore"):
         neg_log = np.where(prob > 0.0, -np.log2(prob), 0.0)
+    hb = np.repeat((prob * neg_log).reshape(-1, 2).sum(1), 2)   # H_b of each edge's state
+    per_edge = np.column_stack([neg_log - hb, hb])              # A' and S of each edge
+    pz1 = _response_prob(trellis, prob)
     xs = x.astype(np.min_scalar_type(prob.size - 1))
     edge = xs.copy()
     for k in range(1, trellis.memory + 1):
         edge[k:] |= xs[:-k] << k
-    A, B = np.empty(len(ends) - 1), np.empty(len(ends) - 1)
-    for b in range(len(A)):
+    out = np.empty((5, len(ends) - 1))
+    for b in range(out.shape[1]):
         s = slice(ends[b], ends[b + 1])
-        A[b] = np.bincount(edge[s], minlength=prob.size) @ neg_log
-        B[b] = -np.log2(np.where(z[s], f[s, 1], f[s, 0])).sum()
-    return A, B
+        counts = np.bincount(edge[s], minlength=prob.size)
+        out[:2, b] = counts @ per_edge
+        out[2, b] = -np.log2(np.where(z[s], f[s, 1], f[s, 0])).sum()
+        w = np.stack([q[s], pz1[edge[s] >> 1]])
+        out[3:, b] = noise.mixture_surprise(y[s], z[s], q[s], w).sum(1)
+    return out
 
 
 def _forward_rate(trellis: Trellis, source: MarkovSource, channel: ChannelSpec, n: int,
                   rng: np.random.Generator, keep_alphas: bool):
     """Simulate a length-n block from ground and estimate its rate with control variates.
 
-    Per step, the forward scan gives D_t = -log2 c_t, whose mean less the
-    law's closed-form H(Y|X) is the plain estimate. Two more per-step terms
-    have exactly known means (:func:`_control_sums`): A_t = -log2 P(x_t | h_t),
-    from the sampled inputs, with mean sum_h P(h_t = h) H_b(p1[h]) under the
-    history law from ground (:func:`_entropy_block_sums`), and
-    B_t = -log2 f[t, z_t], from the emission table, with mean H(Y|X). Both
-    serve as control variates (Lavenberg & Welch, Management Science 1981).
-    Over m = min(20, n) blocks, :func:`_control_fit` fits the block means of
-    D - E[A] to those of A - E[A] and B - H(Y|X). The rate is the mean of
-    E[A] plus the fit's intercept less H(Y|X), clipped to [0, 1], and the
-    fit's residuals give its standard error. So in the noiseless limit, where
-    x is a function of the observations and D_t = A_t, the estimate is the
-    exact from-ground mean input entropy with a standard error of 0.
+    The forward scan gives D_t = -log2 c_t = -log2 p_q(y_t), p_q the
+    predictive mixture (1 - q_t) f(. | 0) + q_t f(. | 1) under the filter's
+    prediction q_t of z_t; D's mean less the law's H(Y|X) is the plain
+    estimate. Five per-step terms of exactly known mean (:func:`_control_sums`)
+    serve as control variates (Lavenberg & Welch, Management Science 1981):
+    A' = A_t - S_t, with A_t = -log2 P(x_t | h_t) and S_t = H_b(p1[h_t]), its
+    mean given h_t (mean 0); S_t, with mean sum_h P(h_t = h) H_b(p1[h]) under
+    the history law from ground (:func:`_entropy_block_sums`); B_t =
+    -log2 f[t, z_t], with mean H(Y|X); and R_q = D_t - V_t(q_t) and R_h =
+    D_t - V_t(pz1_t), where V_t(w) is the law's ``mixture_surprise``, whose
+    mean given the simulated past is that of -log2 p_q(Y_t) for Y_t drawn
+    with weight w on z = 1. Under pz1_t = P(z_t = 1 | h_t) that is D_t's own
+    conditional mean, so R_h is a martingale difference (Henderson & Glynn,
+    Math. Oper. Res. 2002); q_t is pz1_t's mean given the observations, so
+    R_q has mean 0 too. Over m = min(20, n) blocks, :func:`_control_fit`
+    fits the block means of D - E[S] to the variates'. The rate is the mean
+    of E[S] plus the intercept less H(Y|X), clipped to [0, 1], with the fit's
+    standard error. In the noiseless limit, where D_t = A_t, it is the exact
+    from-ground mean input entropy with a standard error of 0.
 
-    Two rules leave variates out of the fit. A variate whose block means
-    spread by no more than 1e-12 of their largest magnitude differs from
-    block to block by rounding only, and fitting it would make it nearly
-    collinear with the intercept, whose estimate would then be rounding
-    noise scaled up by as much as 1e14. This drops B under a noiseless law
-    (identically 0) and under a BSC block with no flip (B_t the same for
-    every t), and A under a uniform source (A_t = 1) or one with p1 in
-    {0, 1} (A_t = 0). With m < 4 blocks (n < 4) no variate is fitted, which
-    leaves the plain mean of D.
+    A variate whose block means spread by no more than 1e-12 of those of the
+    term it is made of (D for R_q and R_h) differs by rounding only; fitted,
+    it would be collinear with the intercept and scale rounding noise up by
+    as much as 1e14, so it is left out: B under a noiseless law or a BSC
+    block with no flip, A' and S under a uniform source, R_q and R_h under
+    BSC 0.5 (D_t = V_t = 1). With m < k + 2 blocks for k variates none is
+    fitted, which leaves the plain mean of D.
 
     Returns the rate, its standard error, and the edge probabilities,
     emission table and forward vectors (None unless ``keep_alphas``) that a
@@ -508,18 +487,20 @@ def _forward_rate(trellis: Trellis, source: MarkovSource, channel: ChannelSpec, 
     y = apply_noise(z, noise, rng)
     prob = _edge_prob(trellis, source)
     f = noise.emission(np.asarray(y, dtype=np.float64))
-    del y   # the scan needs only the emission table
     m = min(20, n)
     ends = np.linspace(0, n, m + 1, dtype=int)
-    alphas, sums = _scaled_forward(trellis, prob, f, ends, keep_alphas=keep_alphas)
+    alphas, sums, q = _scaled_forward(trellis, prob, f, ends, keep_alphas=keep_alphas)
     lens = np.diff(ends)
-    A, B = _control_sums(trellis, prob, x, z, f, ends)
-    ea = _entropy_block_sums(source, ends)
-    variates = ((A / lens, ea / lens), (B / lens, noise.cond_entropy()))
-    cols = [v - mean for v, mean in variates if np.ptp(v) > 1e-12 * np.abs(v).max()]
-    X = np.column_stack(cols) if cols and m >= 4 else np.empty((m, 0))
-    excess, std_err = _control_fit((-sums - ea) / lens, X, lens)
-    rate = float(np.clip(ea.sum() / n + excess - noise.cond_entropy(), 0.0, 1.0))
+    A1, S, B, Vq, Vh = _control_sums(trellis, prob, noise, x, z, y, f, q, ends)
+    es = _entropy_block_sums(source, ends)
+    D = -sums
+    variates = ((A1, 0.0, A1), (S, es, S), (B, noise.cond_entropy() * lens, B),
+                (D - Vq, 0.0, D), (D - Vh, 0.0, D))   # (block sums, their means, their term)
+    cols = [(v - mean) / lens for v, mean, term in variates
+            if np.ptp(v / lens) > 1e-12 * np.abs(term / lens).max()]
+    X = np.column_stack(cols) if cols and m >= len(cols) + 2 else np.empty((m, 0))
+    excess, std_err = _control_fit((D - es) / lens, X, lens)
+    rate = float(np.clip(es.sum() / n + excess - noise.cond_entropy(), 0.0, 1.0))
     return rate, std_err, prob, f, alphas
 
 
@@ -589,32 +570,23 @@ def _maxentropic_update(trellis: Trellis, weights: np.ndarray) -> np.ndarray:
     return np.clip(p1, 0.0, 1.0)
 
 
-# The re-score's floor on symbols: the smaller of 40,000 and 50,000 at which
-# the control-variate estimate of :func:`_forward_rate` is as precise as the
-# plain mean of D was from 100,000 symbols (pooled variance ratio at most 1, and
-# no channel's sd ratio above 1.15). Measured over 200 seeds on four channels:
-# L1 AWGN 0.5 with the uniform source, L2 BSC 0.05 and L3 AWGN 0.25 with the
-# sources the benchmark's optimize jobs return, and L1 AWGN 1.0 with the
-# maxentropic source. From 40,000 symbols the sd ratio reached 1.17 on L2 BSC
-# 0.05, where A adds little to B (pooled variance ratio 0.95). From 50,000 no
-# sd ratio exceeded 1.10, and the pooled variance ratio was 0.76.
-_EVAL_FLOOR = 50_000
+# The re-score's floor on symbols: from max(2 len, 20,000) the five-variate estimate
+# was at least as precise as the [A, B] fit from max(4 len, 50,000) on ten channels.
+_EVAL_FLOOR = 20_000
 
 
 def gbaa_optimize(channel: ChannelSpec, cfg: GbaaConfig
                   ) -> tuple[MarkovSource, RateEstimate, list[float]]:
     """Optimize an order-r Markov source for ``channel``.
 
-    Starts from the uniform source and alternates simulation, forward-backward
-    edge statistics (both by the chunked scan), and the maxentropic update on
-    the weighted graph. Runs ``max_iters`` iterations; the last computes only
-    its rate, since no later iteration would use its update. Every rate, in
-    the trace and in the re-score, is the control-variate estimate of
-    :func:`_forward_rate`. Per-iteration rates fluctuate by the Monte Carlo
-    error, so the best-by-trace and final iterates are re-scored on fresh
-    samples of max(4 ``sample_len``, ``_EVAL_FLOOR`` = 50,000) symbols, and the
-    better of the two is returned with its estimate plus the full
-    per-iteration trace.
+    Starts from the uniform source and runs ``max_iters`` - 1 iterations of
+    simulation, forward-backward edge statistics (both by the chunked scan)
+    and the maxentropic update on the weighted graph. The final iterate gets
+    no trace pass: its trace entry is its re-score on a fresh sample of
+    max(2 ``sample_len``, ``_EVAL_FLOOR``) symbols. Every rate is the estimate
+    of :func:`_forward_rate`. Trace entries carry Monte Carlo error, so an
+    earlier iterate that leads the trace is re-scored the same way; the
+    better re-score is returned with its source and the ``max_iters`` entries.
     """
     L = channel.refractory_len
     if cfg.order < L:
@@ -627,24 +599,26 @@ def gbaa_optimize(channel: ChannelSpec, cfg: GbaaConfig
     trellis = build_trellis(cfg.order, L)
     iterates: list[MarkovSource] = []
     trace: list[float] = []
-    for i in range(cfg.max_iters):
-        update = i + 1 < cfg.max_iters   # no later iteration would use the last update
+    for _ in range(cfg.max_iters - 1):
         rate, _, prob, f, alphas = _forward_rate(trellis, source, channel, cfg.sample_len, rng,
-                                                 keep_alphas=update)
+                                                 keep_alphas=True)
         iterates.append(source)
         trace.append(rate)
-        if not update:
-            break
         betas = _scaled_backward(trellis, prob, f)
         weights = _edge_weights(trellis, prob, alphas, betas, f)
         source = MarkovSource(cfg.order, _maxentropic_update(trellis, weights))
+    iterates.append(source)
+    eval_len = max(2 * cfg.sample_len, _EVAL_FLOOR)
 
-    candidates = {int(np.argmax(trace)), len(trace) - 1}
-    eval_len = max(4 * cfg.sample_len, _EVAL_FLOOR)
-    best_source, best_est = None, None
-    for idx in sorted(candidates):
+    def rescore(idx: int) -> RateEstimate:
         eval_seed = int(np.random.SeedSequence([cfg.seed, idx, eval_len]).generate_state(1)[0])
-        est = estimate_rate(iterates[idx], channel, eval_len, eval_seed)
-        if best_est is None or est.rate > best_est.rate:
-            best_source, best_est = iterates[idx], est
-    return best_source, best_est, trace
+        return estimate_rate(iterates[idx], channel, eval_len, eval_seed)
+
+    best_idx, best_est = len(iterates) - 1, rescore(len(iterates) - 1)
+    trace.append(best_est.rate)
+    lead = int(np.argmax(trace))
+    if lead != best_idx:
+        est = rescore(lead)
+        if est.rate > best_est.rate:
+            best_idx, best_est = lead, est
+    return iterates[best_idx], best_est, trace

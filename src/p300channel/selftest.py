@@ -152,20 +152,47 @@ def _check_min_dist_oracle() -> str:
     return "min-distance books: distinct constant-weight rows, label = pairwise count"
 
 
-def _check_rate_pass_routes() -> str:
-    # the same simulated block scored twice: the rate-only pass (block sums from
-    # chunk-product snapshots) and the per-step pass (the sweep inside every chunk)
-    worst = 0.0
+def _check_scan_routes() -> str:
+    # the chunked scan against a numpy loop over the steps: every normalizer,
+    # prediction q_t of the gate output (the z = 1 edge mass) and forward vector
+    worst, n = 0.0, 2000
     for L, noise in ((1, AwgnNoise(0.5)), (2, BinarySymmetric(0.05))):
-        source = MarkovSource(L, np.linspace(0.2, 0.8, 1 << L))
-        channel, trellis = ChannelSpec(L, noise), ch.build_trellis(L, L)
-        (r0, e0), (r1, e1) = (
-            gbaa._forward_rate(trellis, source, channel, 5000, np.random.default_rng(20244),
-                               keep)[:2] for keep in (False, True))
-        worst = max(worst, abs(r0 - r1), abs(e0 - e1))
+        source, tr = MarkovSource(L, np.linspace(0.2, 0.8, 1 << L)), ch.build_trellis(L, L)
+        rng = np.random.default_rng(20244)
+        y = ch.apply_noise(ch.fsm_response(source.sample(n, rng), L), noise, rng)
+        f, prob = noise.emission(np.asarray(y, dtype=float)), gbaa._edge_prob(tr, source)
+        r = np.bincount(tr.edge_from, weights=prob * tr.edge_z, minlength=1 << L)
+        v, rows = np.eye(1 << L)[0], []
+        for t in range(n):
+            a = np.bincount(tr.edge_to, weights=v[tr.edge_from] * prob * f[t, tr.edge_z])
+            rows.append(np.r_[np.log2(a.sum()), r @ v, v])
+            v = a / a.sum()
+        alphas, log2c, q = gbaa._scaled_forward(tr, prob, f, np.arange(n + 1))
+        worst = max(worst, np.abs(np.column_stack([log2c, q, alphas[:-1]]) - rows).max())
     if worst >= 1e-12:
-        raise AssertionError(f"rate/SE gap {worst:.3e} >= 1e-12")
-    return f"max rate/SE gap {worst:.1e} (L=1 AWGN, L=2 BSC, n=5000)"
+        raise AssertionError(f"scan/loop gap {worst:.3e} >= 1e-12")
+    return f"max gap {worst:.1e} in normalizers, predictions, vectors (n={n})"
+
+
+def _check_surprise_centring() -> str:
+    # each law's mixture surprise against E[-log2 p_q(Y)], Y from weight w on
+    # z = 1, p_q read off the emission table: summed over the two flips of a
+    # BSC, and for AWGN by 80-node Gauss-Hermite quadrature
+    worst, (t, wt) = 0.0, np.polynomial.hermite.hermgauss(80)
+    for noise in (AwgnNoise(0.25), AwgnNoise(2.0), BinarySymmetric(0.05)):
+        bsc = isinstance(noise, BinarySymmetric)
+        g, weight = ((np.array([0, 1]), np.array([1 - noise.crossover, noise.crossover])) if bsc
+                     else (np.sqrt(2.0 * noise.variance) * t, wt / np.sqrt(np.pi)))
+        for q, w in itertools.product((0.0, 0.3, 1.0), repeat=2):
+            got = weight @ noise.mixture_surprise(g, 0 * g, np.full(g.size, q), w)
+            want = 0.0
+            for z, pz in ((0, 1.0 - w), (1, w)):
+                f = noise.emission((z + g) % 2 if bsc else z + g)
+                want += pz * (weight @ -np.log2((1.0 - q) * f[:, 0] + q * f[:, 1])) if pz else 0.0
+            worst = max(worst, abs(got - want))
+    if worst >= 1e-10:
+        raise AssertionError(f"mixture surprise off its mean by {worst:.3e}")
+    return f"max centring gap {worst:.1e} (AWGN 0.25 and 2, BSC 0.05)"
 
 
 def _from_ground_entropy(source: MarkovSource, n: int) -> float:
@@ -182,8 +209,8 @@ def _from_ground_entropy(source: MarkovSource, n: int) -> float:
 
 
 def _check_control_variates() -> str:
-    # the control-variate estimate against the plain mean of D on the blocks of
-    # "rate-only vs per-step pass", within 4 combined standard errors; then a
+    # the control-variate estimate against the plain mean of D on two
+    # simulated blocks, within 4 combined standard errors; then a
     # noiseless maxentropic block, where D_t = A_t, against its exact entropy
     worst, n = 0.0, 5000
     ends = np.linspace(0, n, 21, dtype=int)
@@ -231,7 +258,8 @@ CHECKS = (
     ("decoder oracle", _check_decoder_oracle),
     ("min-distance label oracle", _check_min_dist_oracle),
     ("constrained-family invertibility", _check_invertibility),
-    ("rate-only vs per-step pass", _check_rate_pass_routes),
+    ("chunked scan vs step loop", _check_scan_routes),
+    ("mixture surprise centring", _check_surprise_centring),
     ("control variates vs plain estimate", _check_control_variates),
 )
 

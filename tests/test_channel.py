@@ -1,8 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -297,3 +299,77 @@ class TestLikelihoodConsistency:
                 continue
             gap = score[b][~zero] - log(f[~zero]).sum(axis=1)
             assert np.ptp(gap) < 1e-9
+
+
+WEIGHTS = (0.0, 1e-12, 0.3, 1.0)
+
+
+class TestMixtureSurprise:
+    """Each law's per-step surprise has the mean of -log2 p_q(Y), p_q the predictive mixture.
+
+    p_q = (1 - q) f(. | 0) + q f(. | 1), and Y comes from z' = 1 with
+    probability w, else z' = 0, through the law.
+    """
+
+    @pytest.mark.parametrize("variance", [1e-4, 0.05, 1.0, 1e3])
+    def test_awgn_mirror_average_is_centred(self, variance):
+        # one quad integrates the mirrored estimate over g ~ N(0, variance);
+        # the other integrates -log2 p_q(z' + g) for each z', with p_q from
+        # the two Gaussian log densities. Together they check the
+        # symmetrization and the density bookkeeping.
+        noise, sd = AwgnNoise(variance), math.sqrt(variance)
+        c = -0.5 * math.log(2.0 * math.pi * variance)
+
+        def pdf(g):
+            return math.exp(c - g * g / (2.0 * variance))
+
+        kw = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+        for q, w in itertools.product(WEIGHTS, repeat=2):
+            def mirrored(g):
+                v = noise.mixture_surprise(np.array([g]), np.zeros(1, np.int8), np.array([q]), w)
+                return pdf(g) * float(v[0])
+
+            def direct(g, z):
+                logs = [math.log(p) + c - (z + g - mean) ** 2 / (2.0 * variance)
+                        for p, mean in ((1.0 - q, 0.0), (q, 1.0)) if p > 0.0]
+                top = max(logs)
+                ln_p = top + math.log(sum(math.exp(v - top) for v in logs))
+                return -pdf(g) * ln_p / math.log(2.0)
+
+            got = integrate.quad(mirrored, -12.0 * sd, 12.0 * sd, **kw)[0]
+            want = sum(pz * integrate.quad(direct, -12.0 * sd, 12.0 * sd, args=(z,), **kw)[0]
+                       for z, pz in ((0, 1.0 - w), (1, w)) if pz)
+            assert abs(got - want) < 1e-10, (q, w)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.01, 0.3, 0.5])
+    def test_bsc_sum_matches_enumeration(self, eps):
+        noise = BinarySymmetric(eps)
+        for q, w in itertools.product(WEIGHTS, repeat=2):
+            want = 0.0
+            for z, pz in ((0, 1.0 - w), (1, w)):
+                for flip, pf in ((0, 1.0 - eps), (1, eps)):
+                    y = z ^ flip
+                    p_y = (1.0 - q) * (eps if y else 1.0 - eps) + q * (1.0 - eps if y else eps)
+                    if pz * pf:   # an output the mixture rules out is infinitely surprising
+                        want += pz * pf * -math.log2(p_y) if p_y else math.inf
+            got = noise.mixture_surprise(np.zeros(3, np.int8), np.zeros(3, np.int8),
+                                         np.full(3, q), w)
+            if math.isinf(want):
+                assert np.all(got == math.inf), (q, w)
+            else:
+                assert np.all(np.abs(got - want) <= 1e-14 * max(1.0, want)), (q, w)
+
+    @pytest.mark.parametrize("noise", [AwgnNoise(0.5), AwgnNoise(1e-4), BinarySymmetric(0.1)])
+    def test_stacked_weights_broadcast(self, noise):
+        rng = np.random.default_rng(4)
+        z = rng.integers(0, 2, 50).astype(np.int8)
+        y = apply_noise(z, noise, rng)
+        q, w = rng.random((2, 50))
+        both = noise.mixture_surprise(y, z, q, np.stack([q, w]))
+        assert np.array_equal(both[0], noise.mixture_surprise(y, z, q, q))
+        assert np.array_equal(both[1], noise.mixture_surprise(y, z, q, w))
+        # a scalar prediction broadcasts, also where a factor is redone in the log
+        # domain (q in {0, 1} at variance 1e-4, where phi(g +- 1) / phi(g) underflows)
+        for q0 in (0.0, 0.4, 1.0):
+            want = noise.mixture_surprise(y, z, np.full(50, q0), w)
+            assert np.array_equal(noise.mixture_surprise(y, z, q0, w), want)

@@ -239,6 +239,17 @@ class TestGenbookSimulate:
                                "--sigma2", "1e-300", "--runs", "50", "--seed", "5")
         assert code == 0 and json.loads(out)["accuracy"] == 1.0
 
+    def test_simulate_infinite_variance_exits_3(self, capsys, tmp_path):
+        # an infinite variance used to exit 0 with the argmax of NaN scores
+        # and write "sigma2": Infinity, which is not JSON
+        book = tmp_path / "rcp.csv"
+        run_cli(capsys, "genbook", "--kind", "rcp", "--N", "60", "--seed", "7",
+                "--out", str(book))
+        code, out, err = run_cli(capsys, "simulate", "--book", str(book), "--L", "1",
+                                 "--sigma2", "inf", "--runs", "50", "--seed", "5")
+        assert code == 3 and out == ""
+        assert "AWGN variance must be positive and finite, got inf" in err
+
     def test_simulate_missing_book_reports_path(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--book", "/nope/missing.csv",
                                "--L", "1", "--seed", "0")
@@ -291,9 +302,9 @@ class TestOptimize:
         src = load_source(source_file)
         assert src.order == 1
 
-    @pytest.mark.parametrize("length, eval_len", [(2000, 50_000), (26_000, 104_000)])
+    @pytest.mark.parametrize("length, eval_len", [(2000, 20_000), (26_000, 52_000)])
     def test_reports_the_rescore_length(self, capsys, tmp_path, length, eval_len):
-        # rate and std_err come from the max(4 len, 5e4)-symbol re-score
+        # rate and std_err come from the max(2 len, 2e4)-symbol re-score
         code, out, _ = run_cli(capsys, "optimize", "--L", "1", "--eps", "0.1",
                                "--iters", "1", "--len", str(length), "--seed", "2",
                                "--out", str(tmp_path))
@@ -306,6 +317,15 @@ class TestOptimize:
                                  "--iters", "1", "--len", "1000", "--seed", "0",
                                  "--out", str(tmp_path))
         assert code == 3 and out == "" and "below 2^-64" in err
+        assert not (tmp_path / "rate_trace.csv").exists()
+
+    def test_infinite_variance_exits_3(self, capsys, tmp_path):
+        # it used to exit 4, "forward recursion collapsed at step 0"
+        code, out, err = run_cli(capsys, "optimize", "--L", "1", "--sigma2", "inf",
+                                 "--iters", "1", "--len", "1000", "--seed", "0",
+                                 "--out", str(tmp_path))
+        assert code == 3 and out == ""
+        assert "AWGN variance must be positive and finite, got inf" in err
         assert not (tmp_path / "rate_trace.csv").exists()
 
     def test_requires_noise(self, capsys, tmp_path):
@@ -354,6 +374,12 @@ class TestSweep:
                                "--seed", "0")
         assert code == 3 and "unknown codebook kind 'foo'" in err
 
+    def test_infinite_sigma2_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--L-grid", "1", "--sigma2", "inf",
+                                 "--runs", "10", "--seed", "0")
+        assert code == 3 and out == ""
+        assert "AWGN variance must be positive and finite, got inf" in err
+
     def test_invalid_sigma2_exits_3(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--L-grid", "1", "--sigma2", "-1",
                                  "--runs", "10", "--seed", "0")
@@ -392,19 +418,31 @@ class TestSelftest:
         assert "FAIL" in out
 
     def test_rate_pass_fault_is_caught(self, capsys, monkeypatch):
-        # the chunk increments feed only the rate-only pass, so a fault there
-        # shows as a gap between the rate-only and the per-step pass
+        # the chunk boundary vectors seed the sweep inside every chunk, so a
+        # fault there shows as a gap between the chunked scan and the step loop
         from p300channel import gbaa
         scan = gbaa._dense_scan
 
         def skewed(*args):
-            out, inc = scan(*args)
-            return out, inc + 1e-9
+            out = scan(*args)
+            out[1:, 0] += 1e-9
+            return out
 
         monkeypatch.setattr(gbaa, "_dense_scan", skewed)
         code, out, _ = run_cli(capsys, "selftest", "--seed", "0")
         assert code != 0
-        assert "FAIL  rate-only vs per-step pass" in out
+        assert "FAIL  chunked scan vs step loop" in out
+
+    @pytest.mark.parametrize("law", ["AwgnNoise", "BinarySymmetric"])
+    def test_surprise_fault_is_caught(self, capsys, monkeypatch, law):
+        # a mixture surprise off its mean by 1e-6 bit would bias R_q and R_h
+        from p300channel import channel
+        cls = getattr(channel, law)
+        surprise = cls.mixture_surprise
+        monkeypatch.setattr(cls, "mixture_surprise", lambda *a: surprise(*a) + 1e-6)
+        code, out, _ = run_cli(capsys, "selftest", "--seed", "0")
+        assert code != 0
+        assert "FAIL  mixture surprise centring" in out
 
     @pytest.mark.parametrize("fault", ["observation term", "entropy means"])
     def test_control_variate_fault_is_caught(self, capsys, monkeypatch, fault):
@@ -414,9 +452,10 @@ class TestSelftest:
         from p300channel import gbaa
         sums, means = gbaa._control_sums, gbaa._entropy_block_sums
 
-        def offset_b(trellis, prob, x, z, f, ends):
-            A, B = sums(trellis, prob, x, z, f, ends)
-            return A, B + 0.1 * np.diff(ends)
+        def offset_b(*args):
+            out = sums(*args)   # rows A', S, B, V(q), V(pz1); the block ends come last
+            out[2] += 0.1 * np.diff(args[-1])
+            return out
 
         if fault == "observation term":
             monkeypatch.setattr(gbaa, "_control_sums", offset_b)
@@ -425,4 +464,4 @@ class TestSelftest:
         code, out, _ = run_cli(capsys, "selftest", "--seed", "0")
         assert code != 0
         assert "FAIL  control variates vs plain estimate" in out
-        assert "PASS  rate-only vs per-step pass" in out
+        assert "PASS  chunked scan vs step loop" in out

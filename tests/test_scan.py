@@ -6,9 +6,10 @@ bincount of edge weights into the next normalized vector. The scan in
 rounding, not bit for bit; 1e-12 is far above float64 reassociation error on
 these normalized quantities and far below anything a rate or an edge weight
 could show. The scan returns sums of log2 normalizers over blocks of steps;
-with a block end at every step (``_every``) they are the per-step values. A
-pass that keeps no vectors takes those sums from snapshots of the chunk
-products instead of the in-chunk sweep, so it is checked on its own.
+with a block end at every step (``_every``) they are the per-step values.
+The forward pass also returns the filter's prediction of the gate output at
+every step, which the loop gives as the z = 1 edge mass out of its vector.
+A pass that keeps no vectors runs the same sweep and is checked on its own.
 """
 
 import math
@@ -23,7 +24,8 @@ from p300channel.gbaa import (_LOOP_STATES, _dense_scan, _edge_prob, _edge_weigh
                                _forward_rate, _scaled_backward, _scaled_forward)
 from p300channel.rates import ConvergenceError
 from p300channel.sources import _chunk_len
-from rate_oracles import control_variate_rate, history_entropy_means, step_terms
+from rate_oracles import (control_variate_rate, history_entropy_means, step_variates,
+                          two_variate_rate)
 
 TOL = 1e-12
 
@@ -45,6 +47,12 @@ def loop_forward(tr, ep, f):
         alphas[t + 1] = a / c
         log2c[t] = np.log2(c)
     return alphas, log2c
+
+
+def loop_predictions(tr, ep, alphas):
+    """q_t = P(z_t = 1 | y_1^{t-1}): the mass of the z = 1 edges out of each vector."""
+    r = np.bincount(tr.edge_from, weights=ep * (tr.edge_z == 1), minlength=tr.num_states)
+    return alphas[:-1] @ r
 
 
 def loop_backward(tr, ep, f):
@@ -126,7 +134,7 @@ def _blocks(n):
 
 def test_rate_pass_keeps_no_alphas():
     tr, ep, f = _case(2, 2, AwgnNoise(0.5), 5000, seed=4)
-    alphas, log2c = _scaled_forward(tr, ep, f, _every(f), keep_alphas=False)
+    alphas, log2c, _ = _scaled_forward(tr, ep, f, _every(f), keep_alphas=False)
     assert alphas is None
     assert np.max(np.abs(log2c - loop_forward(tr, ep, f)[1])) < TOL
 
@@ -150,11 +158,12 @@ def test_sizes_cover_every_level_edge():
 def _assert_scan_matches_loop(tr, ep, f):
     a_loop, l_loop = loop_forward(tr, ep, f)
     b_loop = loop_backward(tr, ep, f)
-    a_scan, l_scan = _scaled_forward(tr, ep, f, _every(f))
+    a_scan, l_scan, q_scan = _scaled_forward(tr, ep, f, _every(f))
     b_scan = _scaled_backward(tr, ep, f)
     assert np.max(np.abs(l_scan - l_loop)) < TOL
     _assert_rate_pass_matches_loop(tr, ep, f, _blocks(f.shape[0]), l_loop)
     assert np.max(np.abs(a_scan - a_loop)) < TOL
+    assert np.max(np.abs(q_scan - loop_predictions(tr, ep, a_loop))) < TOL
     assert np.max(np.abs(b_scan - b_loop)) < TOL
     w_loop = _edge_weights(tr, ep, a_loop, b_loop, f)
     w_scan = _edge_weights(tr, ep, a_scan, b_scan, f)
@@ -179,11 +188,12 @@ def test_scan_matches_loop_at_large_S(L, r):
 
 
 def _assert_rate_pass_matches_loop(tr, ep, f, ends, l_loop):
-    # the rate-only pass: block sums from chunk-product snapshots, no in-chunk sweep
-    alphas, sums = _scaled_forward(tr, ep, f, ends, keep_alphas=False)
+    # the pass of a rate estimate: block sums and predictions, no (n+1, S) table
+    alphas, sums, q = _scaled_forward(tr, ep, f, ends, keep_alphas=False)
     assert alphas is None and sums.shape == (len(ends) - 1,)
     want = np.array([l_loop[a:b].sum() for a, b in zip(ends[:-1], ends[1:])])
     assert np.max(np.abs(sums - want) / np.diff(ends)) < TOL
+    assert np.max(np.abs(q - loop_predictions(tr, ep, loop_forward(tr, ep, f)[0]))) < TOL
 
 
 def _message(fn, *args):
@@ -247,25 +257,27 @@ def test_rate_pass_block_ends_anywhere(n, ends):
                                          (3, 3, AwgnNoise(0.25)), (2, 6, AwgnNoise(0.5))])
 @pytest.mark.parametrize("n", [7, 19, 20, 4007])
 def test_rate_estimate_matches_loop(L, r, noise, n):
-    # _forward_rate with and without alphas (estimate_rate, the last GBAA
-    # iteration) against the loop's per-step normalizers on the same simulated
-    # block, with the control variates from the oracles' own per-step A and B;
-    # S = 64 (r = 6) is one chunk, so its rate pass is the step-by-step sweep
+    # _forward_rate with and without alphas (estimate_rate, a GBAA
+    # iteration) against the loop's per-step normalizers and predictions on
+    # the same simulated block, with the control variates from the oracles'
+    # own per-step terms; S = 64 (r = 6) is one chunk, so its pass is the
+    # step-by-step sweep
     src = MarkovSource(r, np.random.default_rng(r).uniform(0.1, 0.9, 1 << r))
     tr, chan = build_trellis(r, L), ChannelSpec(L, noise)
     rng = np.random.default_rng(n)
     x = src.sample(n, rng)
-    z = fsm_response(x, L)
-    f = noise.emission(np.asarray(apply_noise(z, noise, rng), dtype=np.float64))
-    A, B = step_terms(src, x, z, f)
-    EA = history_entropy_means(src, n)
+    y = apply_noise(fsm_response(x, L), noise, rng)
+    f = noise.emission(np.asarray(y, dtype=np.float64))
+    ep = _edge_prob(tr, src)
+    a_loop, log2c = loop_forward(tr, ep, f)
+    terms = step_variates(src, L, noise, x, y, f, loop_predictions(tr, ep, a_loop))
+    want, want_se = control_variate_rate(-log2c, terms, history_entropy_means(src, n),
+                                         noise.cond_entropy(), _blocks(n))
     for keep in (False, True):
-        rate, se, ep, f_rate, alphas = _forward_rate(tr, src, chan, n, np.random.default_rng(n),
-                                                     keep)
+        rate, se, ep_rate, f_rate, alphas = _forward_rate(tr, src, chan, n,
+                                                          np.random.default_rng(n), keep)
         assert (alphas is None) != keep
-        assert np.array_equal(f_rate, f)
-        D = -loop_forward(tr, ep, f)[1]
-        want, want_se = control_variate_rate(D, A, EA, B, noise.cond_entropy(), _blocks(n))
+        assert np.array_equal(ep_rate, ep) and np.array_equal(f_rate, f)
         assert abs(rate - want) < TOL
         assert abs(se - want_se) < TOL
 
@@ -273,7 +285,7 @@ def test_rate_estimate_matches_loop(L, r, noise, n):
 @pytest.mark.parametrize("pos", [300, 1169, 1170, 100_001, 199_990])
 def test_collapse_through_estimate_rate_names_the_loops_step(monkeypatch, pos):
     # two adjacent responses, impossible at L = 1, in the noiseless block that
-    # estimate_rate scores: its rate-only pass collapses and reports the step
+    # estimate_rate scores: its forward pass collapses and reports the step
     # where the loop collapses. At n = 2e5, C = 117: 1169/1170 straddle the
     # chunk boundary at 1170, and 199_990 lies in the 47-step last chunk.
     def responses(z, noise, rng):
@@ -327,26 +339,21 @@ def _exact_dense_scan(v0, rho, P):
     """b_{k+1} ∝ b_k diag(2^rho[k]) P[k] in exact rationals: rho holds integers or -inf."""
     from fractions import Fraction
     b = [Fraction(x) for x in v0]
-    out, inc = [np.array(v0, dtype=float)], []
+    out = [np.array(v0, dtype=float)]
     for k in range(rho.shape[0]):
         w = [x * (Fraction(2) ** int(r)) if r > -np.inf else Fraction(0)
              for x, r in zip(b, rho[k])]
         a = [sum(w[s] * Fraction(P[k, s, j]) for s in range(len(w))) for j in range(len(w))]
         total = sum(a)
-        if total == 0:
-            b = a
-            inc.append(-np.inf)
-        else:
-            b = [x / total for x in a]
-            inc.append(math.log2(total.numerator) - math.log2(total.denominator))
+        b = a if total == 0 else [x / total for x in a]
         out.append(np.array([float(x) for x in b]))
-    return np.array(out), np.array(inc)
+    return np.array(out)
 
 
 @pytest.mark.parametrize("M", [1, 2, 5, 17])
 def test_dense_scan_matches_exact_oracle(M):
     # row scales 2^1100 apart, a row the product kills (scale -inf) and, from
-    # the product that kills every row, a vector that stays zero with increment -inf
+    # the product that kills every row, a vector that stays zero
     rng = np.random.default_rng(M)
     S = 4
     P = rng.random((M, S, S))
@@ -359,14 +366,11 @@ def test_dense_scan_matches_exact_oracle(M):
         rho[M - 2] = -np.inf
     v0 = np.array([0.25, 0.25, 0.5, 0.0])
     with np.errstate(divide="ignore", invalid="ignore"):
-        b, inc = _dense_scan(v0, rho, P)
-    want_b, want_inc = _exact_dense_scan(v0, rho, P)
-    assert np.max(np.abs(b - want_b)) < TOL
-    assert np.array_equal(np.isfinite(inc), np.isfinite(want_inc))
-    live = np.isfinite(want_inc)
-    rel = np.abs(inc[live] - want_inc[live]) / np.maximum(1.0, np.abs(want_inc[live]))
-    assert np.max(rel) < TOL
-    assert np.all(inc[~live] == -np.inf)
+        b = _dense_scan(v0, rho, P)
+    want = _exact_dense_scan(v0, rho, P)
+    assert np.max(np.abs(b - want)) < TOL
+    if M > 2:
+        assert np.all(b[M - 1:] == 0.0)
 
 
 @pytest.mark.parametrize("bits", [-3.0, 0.0, 2.5])
