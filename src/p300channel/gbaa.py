@@ -17,21 +17,23 @@ the noiseless limit the weights collapse to the constraint graph and the
 update reproduces the closed-form optimum.
 
 Both recursions are products of per-step transfer matrices (Arnold,
-Loeliger, Vontobel, Kavcic & Zeng, IEEE T-IT 2006) and run as a three-level
-chunked scan in the spirit of the prefix-scan smoothers of Sarkka &
-Garcia-Fernandez (IEEE TAC 2021): chunk transfer products, a two-level scan
-over the chunk boundaries (group products, a walk over the group
-boundaries, a sweep inside all groups), then a sweep inside all chunks at
-once. A length-n pass takes about 6 n^(1/3) vectorized Python steps instead
-of n; from 64 trellis states on it is the plain step-by-step loop. The chunk
-products are renormalized only before a step that could take a row sum out
-of [2^-64, 2^64], which the emission table alone bounds, so an entry flushes
-to zero below 2^-1010 of its row sum (2^-1074 if renormalized every step).
+Loeliger, Vontobel, Kavcic & Zeng, IEEE T-IT 2006) and run as a speculative
+scan (Maleki, Musuvathi & Mytkowicz, PPoPP 2014), which relies on the filter
+forgetting its start (Le Gland & Mevel, MCSS 2000): the n steps are cut into
+chunks of about 4 n^(1/3), every chunk but the first sweeps from the uniform
+vector, all at once, and a fix-up round restarts each chunk from its
+predecessor's end until the two runs agree to a relative 1e-13 in every
+entry. Where a chunk does not meet by its end, another round restarts the
+chunks after it from its corrected end; once a round after the first meets
+nothing, the rest of the pass runs as the step-by-step loop, which an input
+that never forgets (a periodic source under heavy noise) needs. A pass is
+about 4 n^(1/3) plus the fix-up's 20 to 70 vectorized Python steps instead
+of n, with n S work and no S x S product at any trellis size.
 """
 
 from __future__ import annotations
 
-import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,91 +75,46 @@ def _edge_prob(trellis: Trellis, source: MarkovSource) -> np.ndarray:
     return np.where(trellis.edge_input == 1, p1, 1.0 - p1)
 
 
-_LOOP_STATES = 64   # from this many states on, dense chunk products cost more than they save
-
-# Chunk-product rows are renormalized only before a step that could take a row
-# sum out of [2^-_ROW_BITS, 2^_ROW_BITS]. Then no row sum overflows (S 2^64 is
-# far below 2^1024), and an entry flushes to zero only below 2^-1010 of its row
-# sum instead of 2^-1074: a loss of 64 of the 1074 binary orders of magnitude
-# below a row's sum, all of them far under the 2^-53 precision of anything a
-# rate, a block mean or a boundary vector is computed to.
-_ROW_BITS = 64.0
+# A restarted chunk has met its speculative run once every entry of the two
+# vectors agrees to this relative error, which also asks both to be zero in the
+# same entries. On the tests' channels the scan then matches the step loop to
+# about 1e-14 in vectors and 1e-16 per symbol in log2 p(y).
+_MEET = 1e-13
 
 
-def _renorm_schedule(f: np.ndarray, gather: np.ndarray, prob: np.ndarray, C: int) -> list[bool]:
-    """Which of the C steps of phase 1 renormalize the chunk products first.
+def _sweep(f: np.ndarray, out: tuple, v: np.ndarray, C: int, gather: np.ndarray,
+           weight: np.ndarray, readout: np.ndarray | None):
+    """Advance the K = ceil(n / C) chunks of C steps of ``f`` together, one step at a time.
 
-    One step multiplies the row sum of every product by a factor in
-    [a_min min_z f[t, z], a_max max_z f[t, z]], where a_s, the summed
-    probability of the edges a step reads from state s, is 1 for every s in
-    the forward recursion (the two out-edges of a state) and at most 2 in
-    the backward one. The worst case over the chunks bounds each step; a
-    row sum starts at 1 after a renormalization, and the next one comes
-    before the step whose bound could leave [2^-64, 2^64]. A factor of 0
-    (as in a noiseless law) renormalizes before every step.
+    Column k of ``v``, shape (S, P, K), holds the P start vectors of chunk k,
+    which covers the steps kC .. kC + C - 1 that ``f`` has. Every step
+    writes, for the first of the P vectors, its normalizer c_t into
+    ``out[0]``, ``readout`` . v_t into ``out[1]`` and v_{t+1} into ``out[2]``
+    (either may be None). With P = 2 a chunk has met once its two vectors
+    agree (``_MEET``) after some step, and the sweep stops when every chunk
+    with steps left has met. Returns the vectors after the last step taken
+    and whether each chunk met.
     """
-    n, S = f.shape[0], gather.shape[0]
-    m = n // C                                  # full chunks
-    view = f[:m * C].reshape(m, 2 * C)
-    lo = view.min(0).reshape(C, 2).min(1)
-    hi = view.max(0).reshape(C, 2).max(1)
-    if n > m * C:                               # the short last chunk
-        tail = f[m * C:]
-        lo[:tail.shape[0]] = np.minimum(lo[:tail.shape[0]], tail.min(1))
-        hi[:tail.shape[0]] = np.maximum(hi[:tail.shape[0]], tail.max(1))
-    a = np.bincount(gather.ravel(), prob.ravel(), minlength=S)
-    lo = (np.log2(lo) + np.log2(a.min())).tolist()
-    hi = (np.log2(hi) + np.log2(a.max())).tolist()
-    renorm, down, up = [False] * C, 0.0, 0.0
+    scale, reads, vs = out
+    met = np.zeros(v.shape[2], dtype=bool)
     for i in range(C):
-        if i and (down + lo[i] < -_ROW_BITS or up + hi[i] > _ROW_BITS):
-            renorm[i], down, up = True, 0.0, 0.0
-        down += lo[i]
-        up += hi[i]
-    return renorm
-
-
-def _renormalize(P: np.ndarray, rho: np.ndarray) -> None:
-    """Scale every row of the (S, S, K) products to sum 1, adding its log2 sum to ``rho``.
-
-    A row that sums to zero stays zero, and its scale becomes -inf.
-    """
-    rs = P.sum(1)
-    P *= (1.0 / np.where(rs > 0.0, rs, 1.0))[:, None]
-    rho += np.log2(rs)
-
-
-def _chunk_products(f, gather, prob, zsel, C: int):
-    """Phase 1 of :func:`_chunked_scan`: the transfer product of each of the K chunks.
-
-    All chunks advance at once, one step at a time, renormalized as
-    :func:`_renorm_schedule` says and always after the last step. The last
-    chunk may be short; its weights are zero past its end. Returns the
-    row-normalized (S, S, K) products and their (S, K) row log2 scales.
-    """
-    n, S = f.shape[0], gather.shape[0]
-    K = -(-n // C)
-    P = np.zeros((S, S, K))                    # P[i, j, k]: chunk k, row i, column j
-    P[np.arange(S), np.arange(S)] = 1.0
-    rho = np.zeros((S, K))
-    nxt, edge = np.empty_like(P), np.empty_like(P)
-    w = np.empty((S, 2, K))
-    renorm = _renorm_schedule(f, gather, prob, C)
-    for i in range(C):   # "clip" never clips here; it lets take fill out unbuffered
-        if renorm[i]:
-            _renormalize(P, rho)
-        if i == n - (K - 1) * C:               # past the end of a short last chunk
-            w[..., -1] = 0.0
-        fi = f[i::C].T                                        # (Z, chunks with a step i)
-        np.multiply(prob[..., None], fi[zsel], out=w[..., :fi.shape[1]])
-        np.take(P, gather[:, 0], axis=1, out=nxt, mode="clip")
-        nxt *= w[:, 0]
-        np.take(P, gather[:, 1], axis=1, out=edge, mode="clip")
-        edge *= w[:, 1]
-        P, nxt = nxt, P
-        P += edge
-    _renormalize(P, rho)
-    return P, rho
+        fi = f[i::C].T                                          # (Z, chunks with a step i)
+        k = fi.shape[1]
+        if k < v.shape[2]:                                      # a short last chunk has ended
+            v = v[..., :k]
+        if reads is not None:
+            reads[i::C] = readout @ v[:, 0]
+        v = np.add.reduce(v[gather] * (weight @ fi).reshape(gather.shape + (1, k)), 1)
+        c = np.add.reduce(v, 0)
+        v /= c
+        scale[i::C] = c[0]
+        if vs is not None:
+            vs[i + 1::C] = v[:, 0].T
+        if v.shape[1] == 2 and (i % 4 == 3 or i == C - 1):   # the test costs half a step
+            met[:k] |= np.logical_and.reduce(np.abs(v[:, 0] - v[:, 1]) <= _MEET * v[:, 1], 0)
+            if met[:k].all():
+                break
+    return v, met
 
 
 def _chunked_scan(f: np.ndarray, v0: np.ndarray, gather: np.ndarray, prob: np.ndarray,
@@ -168,118 +125,80 @@ def _chunked_scan(f: np.ndarray, v0: np.ndarray, gather: np.ndarray, prob: np.nd
     ``w_t[j, m] = prob[j, m] * f[t, zsel[j, m]]`` is the weight of the m-th of
     the two trellis edges that feed entry j, and c_t = |v_t w_t| is the
     normalizer of step t. The n steps are split into K chunks of
-    C = ``_chunk_len(n, S^2)`` steps, about 2 n^(1/3) for S <= 4, and run in
-    three vectorized passes:
+    C = 2 ``_chunk_len(n, S)`` steps, about 4 n^(1/3), and run as a
+    speculative scan:
 
-    1. the S x S transfer product of each chunk, all chunks at once, one step
-       at a time (:func:`_chunk_products`). Rows are renormalized, with their
-       log2 scales kept, only before a step that could take a row sum out of
-       [2^-64, 2^64] (``_ROW_BITS``) and after the last step; so no row
-       underflows against another, and an entry flushes to zero only below
-       2^-1010 of its row sum;
-    2. the normalized vector at every chunk boundary, from a two-level scan
-       over the products (:func:`_dense_scan`, about 3 sqrt(K) steps);
-    3. a C-step sweep inside all chunks at once, from their boundary vectors,
-       which repeats the step-by-step recursion and yields every vector and
-       every normalizer.
+    1. a sweep of all chunks at once (:func:`_sweep`), chunk 0 from ``v0`` and
+       every other chunk from the uniform vector, which writes every vector,
+       normalizer and readout. Chunk 0 is exact;
+    2. fix-up rounds. A round restarts every chunk after the proven ones
+       from its predecessor's end, all at once, beside a rerun from its
+       previous start, and overwrites its steps until every chunk has met
+       (``_MEET``, tested every fourth step and at a chunk's end). From its
+       meeting step on a chunk's earlier values are right, since both
+       vectors follow the same steps. The chunks are proven up to the first
+       one that does not meet by its end, whose restarted run is right; the
+       next round starts after it, from its corrected end. A chunk that
+       forgets its start in more than C steps fails the first round, whose
+       rerun starts from the uniform vector, but a later round compares two
+       runs from nearly right starts and meets within a few steps;
+    3. a round after the first in which no chunk meets shows an input that
+       does not forget (such as a periodic source under heavy noise). What
+       is unproven then runs as one chunk of the same sweep, which is the
+       step-by-step loop, from the last corrected end. Every round proves a
+       chunk and costs at most C steps, so a pass never takes more than
+       about n vectorized steps.
 
-    The chunk index is the innermost axis of phases 1 and 3, so numpy's inner
-    loops run over the chunks. That is 2C + 3 sqrt(K) Python steps instead of
-    n: about 6 n^(1/3), or 280 at n = 1e5. Phase 1 costs about n S^2
-    operations against phase 3's n S, so from ``_LOOP_STATES`` states on
-    C = n: K = 1, phases 1 and 2 are skipped, and phase 3 is the
-    step-by-step loop.
+    Every S runs this scan. A zero normalizer from a uniform start implies
+    one from any start, so a collapse in the sweep is never spurious; the
+    earliest collapse among the proven steps is the loop's, and it ends the
+    rounds.
 
     Returns the (n+1, S) vectors (None unless ``keep``), the sums of log2 c_t
     over the blocks [ends[b], ends[b+1]) of the increasing ``ends`` (from 0
     to n), the first step whose normalizer is zero or not finite (None if
     none), which the caller reports, and ``readout`` . v_t for every t < n.
     """
-    n = f.shape[0]
-    S = v0.size
-    C = _chunk_len(n, S * S) if S < _LOOP_STATES else n
+    n, S = f.shape[0], v0.size
+    C = min(n, 2 * _chunk_len(n, S))
     K = -(-n // C)
+    vs = np.empty((n + 1, S)) if keep else None
+    if keep:
+        vs[0] = v0
+    scale = np.empty(n)
+    reads = None if readout is None else np.empty(n)
+    out = (scale, reads, vs)
+    weight = np.zeros((zsel.size, f.shape[1]))       # weight @ f[t] is w_t, flattened
+    weight[np.arange(zsel.size), zsel.ravel()] = prob.ravel()
+
+    def tail(s):
+        return f[s:], tuple(None if a is None else a[s:] for a in out)
+
+    starts = np.full((S, K), 1.0 / S)
+    starts[:, 0] = v0
+    p = 0   # chunks 0 .. p are proven: their values, and their end, are the loop's
     with np.errstate(divide="ignore", invalid="ignore"):
-        if K > 1:
-            P, rho = _chunk_products(f, gather, prob, zsel, C)
-            v = _dense_scan(v0, rho[:, :K - 1].T, P[:, :, :K - 1].transpose(2, 0, 1)).T
-            del P
-        else:
-            v = v0[:, None]
-
-        vs = np.empty((n + 1, S)) if keep else None
-        if keep:
-            vs[0] = v0
-        scale = np.empty(n)
-        reads = None if readout is None else np.empty(n)
-        for i in range(C):
-            fi = f[i::C].T                                     # (Z, rows)
-            if reads is not None:
-                reads[i::C] = readout @ v[:, :fi.shape[1]]
-            v = (v[gather, :fi.shape[1]] * (prob[..., None] * fi[zsel])).sum(1)
-            c = v.sum(0)
-            v /= c
-            scale[i::C] = c
-            if keep:
-                vs[i + 1::C] = v.T
+        end, _ = _sweep(f, out, starts[:, None], C, gather, weight, readout)
+        last = end[:, 0, :K - 1]   # the end vector of each chunk but the last
+        rounds = 0
+        while p < K - 1:
+            restart = np.stack([last[:, p:], starts[:, p + 1:]], axis=1)
+            end, met = _sweep(*tail((p + 1) * C), restart, C, gather, weight, readout)
+            unmet = np.flatnonzero(~met[:-1])   # the last chunk's end starts nothing
+            if not unmet.size:
+                p = K - 1
+                break
+            starts[:, p + 1:] = restart[:, 0]
+            last[:, p + 1:] = end[:, 0, :K - 2 - p]
+            p += 1 + int(unmet[0])
+            rounds += 1
+            if _first_collapse(scale[:(p + 1) * C]) is not None:   # the pass has failed
+                break
+            if rounds > 1 and not met.any():   # the input does not forget: use the loop
+                s = (p + 1) * C
+                _sweep(*tail(s), last[:, p, None, None], n - s, gather, weight, readout)
+                break
         return vs, np.add.reduceat(np.log2(scale), ends[:-1]), _first_collapse(scale), reads
-
-
-_FLOOR = -np.finfo(np.float64).max
-
-
-def _dense_step(v: np.ndarray, rho: np.ndarray, P: np.ndarray):
-    """Rows of v diag(2^rho) P as (a, t): row j of the result is a[j] 2^t[j].
-
-    The rows of ``v`` are weighed in the log domain, each shifted by its own
-    largest term, so no scale in ``rho`` overflows or underflows against
-    another. If the rows of ``P`` sum to 1 (or to 0, with scale -inf), each
-    row of ``a`` sums to between 1 and S, so steps chain without being
-    normalized. A row of ``v`` that is zero, or whose every term ``P``
-    kills, comes out zero with t = -inf. Leading axes of the arguments
-    broadcast.
-    """
-    g = np.log2(v)
-    g += rho[..., None, :]
-    t = np.maximum.reduce(g, -1, keepdims=True)
-    g -= np.maximum(t, _FLOOR)   # a zero row has t = -inf; its g - t stays -inf, not nan
-    return np.exp2(g, out=g) @ P, t
-
-
-def _normalized(a: np.ndarray) -> np.ndarray:
-    """Rows of ``a`` scaled to sum 1, in place; a zero row stays zero."""
-    s = np.add.reduce(a, -1, keepdims=True)
-    return np.divide(a, s, out=a, where=s > 0.0)
-
-
-def _dense_scan(v0: np.ndarray, rho: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Normalized b_0 = v0, ..., b_M with b_{k+1} ∝ b_k diag(2^rho[k]) P[k], as (M+1, S).
-
-    A two-level scan over the M dense S x S products, in groups of
-    D = ceil(sqrt(M)): the product of each of the first G-1 groups, all
-    groups at once (D-1 steps); a walk over the G group boundaries; then a
-    D-step sweep inside all groups from their boundary vectors. Only that
-    sweep normalizes its vectors.
-    """
-    M, S = rho.shape
-    D = math.isqrt(M - 1) + 1
-    G = -(-M // D)
-    full = (G - 1) * D     # products covered by groups whose product is needed
-    Q, sig = P[:full:D], rho[:full:D]
-    for i in range(1, D):
-        Q, t = _dense_step(Q, rho[i:full:D], P[i:full:D])
-        sig = sig + t[..., 0]
-    v = np.empty((G, 1, S))
-    v[0] = v0
-    for g in range(G - 1):
-        v[g + 1] = _dense_step(v[g], sig[g], Q[g])[0]
-    v = _normalized(v)
-    out = np.empty((M + 1, S))
-    out[0] = v0
-    for i in range(D):
-        v = _normalized(_dense_step(v[:len(range(i, M, D))], rho[i::D], P[i::D])[0])
-        out[i + 1::D] = v[:, 0]
-    return out
 
 
 def _first_collapse(scale: np.ndarray) -> int | None:
@@ -461,9 +380,12 @@ def _forward_rate(trellis: Trellis, source: MarkovSource, channel: ChannelSpec, 
     Math. Oper. Res. 2002); q_t is pz1_t's mean given the observations, so
     R_q has mean 0 too. Over m = min(20, n) blocks, :func:`_control_fit`
     fits the block means of D - E[S] to the variates'. The rate is the mean
-    of E[S] plus the intercept less H(Y|X), clipped to [0, 1], with the fit's
-    standard error. In the noiseless limit, where D_t = A_t, it is the exact
-    from-ground mean input entropy with a standard error of 0.
+    of E[S] plus the intercept less H(Y|X), with the fit's standard error. It
+    is not clipped to [0, 1]: an estimate outside [-3 SE, 1 + 3 SE], by more
+    than 1e-12 of rounding, warns instead, since no source over a binary
+    input reaches it. In the noiseless
+    limit, where D_t = A_t, it is the exact from-ground mean input entropy
+    with a standard error of 0.
 
     A variate whose block means spread by no more than 1e-12 of those of the
     term it is made of (D for R_q and R_h) differs by rounding only; fitted,
@@ -500,7 +422,11 @@ def _forward_rate(trellis: Trellis, source: MarkovSource, channel: ChannelSpec, 
             if np.ptp(v / lens) > 1e-12 * np.abs(term / lens).max()]
     X = np.column_stack(cols) if cols and m >= len(cols) + 2 else np.empty((m, 0))
     excess, std_err = _control_fit((D - es) / lens, X, lens)
-    rate = float(np.clip(es.sum() / n + excess - noise.cond_entropy(), 0.0, 1.0))
+    rate = float(es.sum() / n + excess - noise.cond_entropy())
+    slack = 3.0 * std_err + 1e-12   # 1e-12: a deterministic source reads 0 +- rounding, SE ~0
+    if not -slack <= rate <= 1.0 + slack:
+        warnings.warn(f"rate estimate {rate!r} lies outside [-3 SE, 1 + 3 SE] "
+                      f"(SE {std_err!r}, {n} symbols)")
     return rate, std_err, prob, f, alphas
 
 

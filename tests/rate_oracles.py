@@ -175,14 +175,14 @@ def control_variate_rate(D, terms: dict, ES, cond_entropy: float, ends) -> tuple
 
     The block means of D - E[S] are fitted on A', S - E[S], B - H(Y|X),
     D - V(q) and D - V(pz1); the rate is the mean of E[S] plus the
-    intercept less H(Y|X), clipped to [0, 1].
+    intercept less H(Y|X), unclipped.
     """
     d, es = _block_means(D, ends), _block_means(ES, ends)
     a1, s, b, vq, vh = (_block_means(terms[k], ends) for k in ("A1", "S", "B", "Vq", "Vh"))
     variates = [(a1, 0.0, a1), (s, es, s), (b, cond_entropy, b), (d - vq, 0.0, d),
                 (d - vh, 0.0, d)]
     icpt, se = normal_equations_fit(d - es, variates, np.diff(ends))
-    return float(np.clip(ES.mean() + icpt - cond_entropy, 0.0, 1.0)), se
+    return float(ES.mean() + icpt - cond_entropy), se
 
 
 def two_variate_rate(D, A, EA, B, cond_entropy: float, ends) -> tuple[float, float]:
@@ -194,7 +194,7 @@ def two_variate_rate(D, A, EA, B, cond_entropy: float, ends) -> tuple[float, flo
     """
     d, a, ea, b = (_block_means(v, ends) for v in (D, A, EA, B))
     icpt, se = normal_equations_fit(d - ea, [(a, ea, a), (b, cond_entropy, b)], np.diff(ends))
-    return float(np.clip(EA.mean() + icpt - cond_entropy, 0.0, 1.0)), se
+    return float(EA.mean() + icpt - cond_entropy), se
 
 
 def edge_weights_loop(trellis, prob, alphas, betas, f) -> np.ndarray:

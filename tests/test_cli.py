@@ -418,17 +418,20 @@ class TestSelftest:
         assert "FAIL" in out
 
     def test_rate_pass_fault_is_caught(self, capsys, monkeypatch):
-        # the chunk boundary vectors seed the sweep inside every chunk, so a
-        # fault there shows as a gap between the chunked scan and the step loop
+        # the fix-up restarts every chunk but the first from its predecessor's
+        # end and overwrites its steps until it meets the speculative sweep, so
+        # a fault in those restart vectors shows as a gap between the chunked
+        # scan and the step loop
         from p300channel import gbaa
-        scan = gbaa._dense_scan
+        sweep = gbaa._sweep
 
-        def skewed(*args):
-            out = scan(*args)
-            out[1:, 0] += 1e-9
-            return out
+        def skewed(f, out, v, *args):
+            if v.shape[1] == 2:            # restart | speculative rerun: a fix-up round
+                v = v.copy()
+                v[:, 0] += 1e-9
+            return sweep(f, out, v, *args)
 
-        monkeypatch.setattr(gbaa, "_dense_scan", skewed)
+        monkeypatch.setattr(gbaa, "_sweep", skewed)
         code, out, _ = run_cli(capsys, "selftest", "--seed", "0")
         assert code != 0
         assert "FAIL  chunked scan vs step loop" in out

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,24 @@ class TestEstimateRate:
               for n in (10_000, 160_000)]
         assert se[1] < se[0] / 2   # ~1/sqrt(16) ideally
 
+    def test_estimate_outside_the_unit_range_is_returned_raw_and_warns(self):
+        # 10 symbols read 1.434 bit, 12.6 SE above the ceiling, and -0.039 bit,
+        # 0.4 SE below the floor, which stays quiet; clipping would hide both
+        source = MarkovSource(3, np.random.default_rng(3).uniform(0.3, 0.7, 8))
+        channel = ChannelSpec(2, BinarySymmetric(0.02))
+        with pytest.warns(UserWarning, match=r"estimate 1\.434.* outside \[-3 SE, 1 \+ 3 SE\]"):
+            high = estimate_rate(source, channel, 10, seed=0)
+        assert high.rate > 1.0 + 3.0 * high.std_err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            low = estimate_rate(source, channel, 10, seed=2)
+            # a deterministic source carries nothing: -2.2e-16 bit, 4 SE below
+            # 0, is rounding, which the 1e-12 allowance keeps quiet
+            periodic = estimate_rate(MarkovSource(2, [1.0, 0.0, 0.0, 0.0]),
+                                     ChannelSpec(2, AwgnNoise(0.25)), 3000, seed=2)
+        assert -3.0 * low.std_err < low.rate < 0.0
+        assert -1e-12 < periodic.rate < -3.0 * periodic.std_err
+
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError, match="n must be"):
             estimate_rate(maxentropic_source(1), ChannelSpec(1), n=0, seed=0)
@@ -215,6 +234,7 @@ class TestInitialState:
         assert np.max(np.abs(q - want_q)) < 1e-12
 
     @pytest.mark.parametrize("L, r", [(1, 1), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+    @pytest.mark.filterwarnings("ignore:rate estimate")   # 10 symbols can read above 1 bit
     def test_estimate_rate_starts_source_gate_and_forward_at_s0(self, L, r):
         # S_0 is ground: the block estimate_rate scores is the one drawn here.
         # D_t and q_t come from enumerating every input sequence, and the

@@ -2,17 +2,17 @@
 
 The loop below is the reference: one Python step per symbol, each step a
 bincount of edge weights into the next normalized vector. The scan in
-``p300channel.gbaa`` reassociates the same products, so the two agree to
-rounding, not bit for bit; 1e-12 is far above float64 reassociation error on
-these normalized quantities and far below anything a rate or an edge weight
-could show. The scan returns sums of log2 normalizers over blocks of steps;
-with a block end at every step (``_every``) they are the per-step values.
+``p300channel.gbaa`` is speculative: chunks after the first start from the
+uniform vector and keep their values from the step where a restart from the
+true start meets them to a relative 1e-13. So the two agree to that tolerance
+and to rounding, not bit for bit; 1e-12 is above both on these normalized
+quantities and far below anything a rate or an edge weight could show. The
+scan returns sums of log2 normalizers over blocks of steps; with a block end
+at every step (``_every``) they are the per-step values.
 The forward pass also returns the filter's prediction of the gate output at
 every step, which the loop gives as the z = 1 edge mass out of its vector.
 A pass that keeps no vectors runs the same sweep and is checked on its own.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -20,8 +20,8 @@ import pytest
 from p300channel import (AwgnNoise, BinarySymmetric, ChannelSpec, MarkovSource, apply_noise,
                          build_trellis, estimate_rate, fsm_response)
 from p300channel import gbaa
-from p300channel.gbaa import (_LOOP_STATES, _dense_scan, _edge_prob, _edge_weights,
-                               _forward_rate, _scaled_backward, _scaled_forward)
+from p300channel.gbaa import (_edge_prob, _edge_weights, _forward_rate, _scaled_backward,
+                               _scaled_forward)
 from p300channel.rates import ConvergenceError
 from p300channel.sources import _chunk_len
 from rate_oracles import (control_variate_rate, history_entropy_means, step_variates,
@@ -81,18 +81,9 @@ def _case(L, r, noise, n, seed):
 
 
 def _levels(n, S):
-    """(C, steps in the last chunk, D, chunks in the last group) of the scan over n steps.
-
-    The chunk boundaries come from a scan over the K - 1 chunk products in
-    groups of D = ceil(sqrt(K - 1)); the last chunk and the last group may
-    be short.
-    """
-    C = _chunk_len(n, S * S)
-    M = -(-n // C) - 1
-    if M == 0:
-        return C, n, 0, 0
-    D = math.isqrt(M - 1) + 1
-    return C, n - M * C, D, M - (-(-M // D) - 1) * D
+    """(C, steps in the last chunk) of the scan over n steps; the last chunk may be short."""
+    C = min(n, 2 * _chunk_len(n, S))
+    return C, n - (-(-n // C) - 1) * C
 
 
 def _edge(last, full):
@@ -100,15 +91,14 @@ def _edge(last, full):
 
 
 # the smallest length >= 200 for each kind of last chunk (full, partial, one
-# step) and last group (full, partial, one chunk); below 4096 steps C is the
-# same for every S <= 16 in these tests
+# step); below 4096 steps C is the same for every S <= 16 in these tests
 EDGES = {}
 for _n in range(200, 4096):
-    _C, _last, _D, _group = _levels(_n, 2)
-    EDGES.setdefault((_edge(_last, _C), _edge(_group, _D)), _n)
-assert len(EDGES) == 9
-SIZES = (1, 2, 4,        # K = 1: one chunk, no chunk products
-         5,              # K = 2: one chunk product, one group
+    _C, _last = _levels(_n, 2)
+    EDGES.setdefault(_edge(_last, _C), _n)
+assert len(EDGES) == 3
+SIZES = (1, 2, 4, 10,    # K = 1: one chunk, no fix-up
+         11,             # K = 2: one restarted chunk of one step
          *sorted(EDGES.values()), 10_007)
 NOISES = (AwgnNoise(0.5), BinarySymmetric(0.1), BinarySymmetric(0.0))
 NOISELESS = BinarySymmetric(0.0)
@@ -150,7 +140,7 @@ def test_chunk_len_is_ceil_twice_cube_root():
 
 
 def test_sizes_cover_every_level_edge():
-    assert _levels(4, 2)[2] == 0 and _levels(5, 2) == (4, 1, 1, 1)
+    assert _levels(10, 2) == (10, 10) and _levels(11, 2) == (10, 1)
     for n in EDGES.values():
         assert _levels(n, 2) == _levels(n, 16)
 
@@ -170,10 +160,11 @@ def _assert_scan_matches_loop(tr, ep, f):
     assert np.max(np.abs(w_scan - w_loop)) < TOL
 
 
-@pytest.mark.parametrize("L, r", [(5, 5), (2, 6)])
+@pytest.mark.parametrize("L, r", [(5, 5), (2, 6), (3, 7)])
 def test_scan_matches_loop_at_large_S(L, r):
-    # S = 32 still runs the chunked scan; S = 64 runs it as the plain loop (C = n)
-    assert (1 << r < _LOOP_STATES) == (r == 5)
+    # S = 32, 64 and 128 run the same speculative scan as S <= 16: 300 steps
+    # make 11 chunks of 28
+    assert _levels(300, 1 << r) == (28, 20)
     for n in (1, 3, 300):
         _assert_scan_matches_loop(*_case(L, r, AwgnNoise(0.5), n, seed=n))
     z = fsm_response(MarkovSource.uniform(r).sample(300, np.random.default_rng(r)), L)
@@ -218,17 +209,30 @@ def test_collapse_reports_the_loops_step():
     assert _message(loop_backward, tr, ep, f) == "backward recursion collapsed at step 1"
 
 
-@pytest.mark.parametrize("pos", [0, 1, 30, 31, 32, 383, 384, 500, 960, 997, 3839, 3840, 4005])
+# In a noiseless L = 1 block a response pins the state, so a restarted chunk
+# meets its speculative run at its first response and not before.
+IN_FIXUP = 20 * 64 + 10      # chunk 20 has no response before the collapse
+AFTER_MEET = 30 * 64 + 40    # chunk 30 responds at its step 2, then collapses
+
+
+@pytest.mark.parametrize("pos", [0, 1, 30, 31, 32, 63, 64, 383, 384, 500, 960, 997, 3839, 3840,
+                                 3967, 3968, 4005, IN_FIXUP, AFTER_MEET])
 def test_collapse_anywhere_in_the_chunks(pos):
-    # n = 4007 has C = 32, a 7-step last chunk, and 125 chunk products in
-    # groups of D = 12 (384 steps) with a 5-chunk last group from step 3840.
-    # So 31/32 and 383/384 straddle a chunk and a group boundary, 500 and 997
-    # lie inside a group past its first chunk, and 4005 is in the last chunk.
+    # n = 4007 has C = 64 and a 39-step last chunk from 3968, so 63/64 and
+    # 3967/3968 straddle a chunk boundary, 500 and 997 lie inside a chunk, and
+    # 4005 is in the last chunk. Chunk 0 is exact from the start; in any other
+    # chunk a collapse before the restart meets the speculative run (IN_FIXUP)
+    # is written by the fix-up, and one after it (AFTER_MEET) by the sweep.
     # Two adjacent responses are impossible at L = 1, so both recursions
     # collapse next to ``pos``.
-    assert _levels(4007, 2) == (32, 7, 12, 5)
+    assert _levels(4007, 2) == (64, 39)
     rng = np.random.default_rng(pos)
     z = fsm_response(MarkovSource.uniform(1).sample(4007, rng), 1).astype(np.float64)
+    start = pos - pos % 64
+    if pos == IN_FIXUP:
+        z[start:pos] = 0.0
+    if pos == AFTER_MEET:
+        z[start:start + 5] = [0.0, 0.0, 1.0, 0.0, 0.0]
     z[pos:pos + 2] = 1.0
     tr = build_trellis(1, 1)
     ep = _edge_prob(tr, MarkovSource.uniform(1))
@@ -239,15 +243,15 @@ def test_collapse_anywhere_in_the_chunks(pos):
 
 
 @pytest.mark.parametrize("n, ends", [
-    # n = 4007: C = 32, chunk boundaries at multiples of 32, a 7-step last chunk from 4000
-    (4007, [0, 1, 31, 32, 33, 64, 500, 3999, 4000, 4001, 4005, 4006, 4007]),
-    # n = 4032 = 126 * 32: the last chunk is full, so n is a chunk boundary
-    (4032, [0, 32, 4000, 4031, 4032]),
+    # n = 4007: C = 64, chunk boundaries at multiples of 64, a 39-step last chunk from 3968
+    (4007, [0, 1, 63, 64, 65, 128, 500, 3967, 3968, 3969, 4005, 4006, 4007]),
+    # n = 4032 = 63 * 64: the last chunk is full, so n is a chunk boundary
+    (4032, [0, 64, 3968, 4031, 4032]),
     (4007, [0, 4007]),
 ])
 def test_rate_pass_block_ends_anywhere(n, ends):
-    assert _levels(4007, 4)[:2] == (32, 7) and _levels(4032, 4)[:2] == (32, 32)
-    assert _levels(200_000, 2)[:2] == (117, 47)   # the collapse test below
+    assert _levels(4007, 4) == (64, 39) and _levels(4032, 4) == (64, 64)
+    assert _levels(200_000, 2) == (234, 164)   # the collapse test below
     for noise in NOISES:
         tr, ep, f = _case(2, 2, noise, n, seed=n)
         _assert_rate_pass_matches_loop(tr, ep, f, np.array(ends), loop_forward(tr, ep, f)[1])
@@ -260,8 +264,7 @@ def test_rate_estimate_matches_loop(L, r, noise, n):
     # _forward_rate with and without alphas (estimate_rate, a GBAA
     # iteration) against the loop's per-step normalizers and predictions on
     # the same simulated block, with the control variates from the oracles'
-    # own per-step terms; S = 64 (r = 6) is one chunk, so its pass is the
-    # step-by-step sweep
+    # own per-step terms; S = 64 (r = 6) runs the same chunked scan
     src = MarkovSource(r, np.random.default_rng(r).uniform(0.1, 0.9, 1 << r))
     tr, chan = build_trellis(r, L), ChannelSpec(L, noise)
     rng = np.random.default_rng(n)
@@ -286,8 +289,8 @@ def test_rate_estimate_matches_loop(L, r, noise, n):
 def test_collapse_through_estimate_rate_names_the_loops_step(monkeypatch, pos):
     # two adjacent responses, impossible at L = 1, in the noiseless block that
     # estimate_rate scores: its forward pass collapses and reports the step
-    # where the loop collapses. At n = 2e5, C = 117: 1169/1170 straddle the
-    # chunk boundary at 1170, and 199_990 lies in the 47-step last chunk.
+    # where the loop collapses. At n = 2e5, C = 234: 1169/1170 straddle the
+    # chunk boundary at 1170, and 199_990 lies in the 164-step last chunk.
     def responses(z, noise, rng):
         z = z.astype(np.float64)
         z[pos:pos + 2] = 1.0
@@ -303,9 +306,10 @@ def test_collapse_through_estimate_rate_names_the_loops_step(monkeypatch, pos):
 
 
 def _stress_cases():
-    # BSC 1e-200 with flipped observations: a flip costs 2^-664, so chunk-product
-    # rows (and boundary weights) sit up to 2^-1328 apart within one chunk; four
-    # responses in a row, impossible at L >= 1, need two flips, 2^-1328 in all
+    # BSC 1e-200 with flipped observations: a flip costs 2^-664, so entries of
+    # one vector sit up to 2^-1328 apart, and the fix-up's relative test must
+    # hold on the smallest of them; four responses in a row, impossible at
+    # L >= 1, need two flips, 2^-1328 in all
     for L, r, n in ((1, 1, 3000), (2, 3, 3000), (1, 2, 5)):
         tr, ep, f = _case(L, r, BinarySymmetric(1e-200), n, seed=n + r)
         y = (f[:, 1] > f[:, 0]).astype(np.float64)
@@ -313,16 +317,16 @@ def _stress_cases():
         y[flips] = 1.0 - y[flips]
         y[1700 % n:1704 % n] = 1.0
         yield "bsc1e-200", tr, ep, BinarySymmetric(1e-200).emission(y)
-    # AWGN 1e-4: densities up to 40, so row sums grow by up to 2^5.3 a step
+    # AWGN 1e-4: densities up to 40, so a normalizer is up to 2^5.3
     for L, r in ((1, 1), (3, 3)):
         yield "awgn1e-4", *_case(L, r, AwgnNoise(1e-4), 3000, seed=r)
-    # one step scaled below 2^-64 (and one above 2^64): renormalize around it
+    # one step scaled below 2^-64 (and one above 2^64)
     tr, ep, f = _case(2, 2, AwgnNoise(0.5), 3000, seed=5)
     f[1000] *= 2.0 ** -70
     f[2000] *= 2.0 ** 70
     yield "scaled-steps", tr, ep, f
-    # every step scaled by 2^±40: a C = 29-step chunk product would leave the
-    # float range without renormalizing within the chunk
+    # every step scaled by 2^±40: a chunk's product of normalizers would leave
+    # the float range, which the per-step normalizers never form
     for bits in (-40, 40):
         tr, ep, f = _case(1, 2, AwgnNoise(0.5), 3000, seed=6)
         yield f"scaled-by-2^{bits}", tr, ep, f * 2.0 ** bits
@@ -335,63 +339,55 @@ def test_renormalization_stress_matches_loop(name, tr, ep, f):
     _assert_rate_pass_matches_loop(tr, ep, f, _every(f), loop_forward(tr, ep, f)[1])
 
 
-def _exact_dense_scan(v0, rho, P):
-    """b_{k+1} ∝ b_k diag(2^rho[k]) P[k] in exact rationals: rho holds integers or -inf."""
-    from fractions import Fraction
-    b = [Fraction(x) for x in v0]
-    out = [np.array(v0, dtype=float)]
-    for k in range(rho.shape[0]):
-        w = [x * (Fraction(2) ** int(r)) if r > -np.inf else Fraction(0)
-             for x, r in zip(b, rho[k])]
-        a = [sum(w[s] * Fraction(P[k, s, j]) for s in range(len(w))) for j in range(len(w))]
-        total = sum(a)
-        b = a if total == 0 else [x / total for x in a]
-        out.append(np.array([float(x) for x in b]))
-    return np.array(out)
+def _periodic_case(variance, n, seed):
+    # order 2, p1 = [1, 0, 0, 0]: the inputs run 1, 0, 0, 1, 0, 0, ... from
+    # ground, so the loop's vector is one state at every step, while a chunk
+    # started from the uniform vector keeps some mass on the other two phases
+    # until the observations drive it to exactly zero
+    src = MarkovSource(2, [1.0, 0.0, 0.0, 0.0])
+    rng = np.random.default_rng(seed)
+    y = apply_noise(fsm_response(src.sample(n, rng), 2), AwgnNoise(variance), rng)
+    tr = build_trellis(2, 2)
+    return tr, _edge_prob(tr, src), AwgnNoise(variance).emission(np.asarray(y, dtype=np.float64))
 
 
-@pytest.mark.parametrize("M", [1, 2, 5, 17])
-def test_dense_scan_matches_exact_oracle(M):
-    # row scales 2^1100 apart, a row the product kills (scale -inf) and, from
-    # the product that kills every row, a vector that stays zero
-    rng = np.random.default_rng(M)
-    S = 4
-    P = rng.random((M, S, S))
-    P /= P.sum(-1, keepdims=True)
-    rho = rng.choice([-1100.0, 0.0, 1100.0, 7.0], size=(M, S))
-    P[:, 1] = 0.0
-    rho[:, 1] = -np.inf
-    if M > 2:
-        P[M - 2] = 0.0
-        rho[M - 2] = -np.inf
-    v0 = np.array([0.25, 0.25, 0.5, 0.0])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b = _dense_scan(v0, rho, P)
-    want = _exact_dense_scan(v0, rho, P)
-    assert np.max(np.abs(b - want)) < TOL
-    if M > 2:
-        assert np.all(b[M - 1:] == 0.0)
+def _sweeps(monkeypatch):
+    """Record (vectors per chunk, chunks, C, chunks that met) of every sweep the scan makes."""
+    calls, sweep = [], gbaa._sweep
+
+    def spy(f, out, v, C, *args):
+        end, met = sweep(f, out, v, C, *args)
+        calls.append(v.shape[1:] + (C, int(met.sum())))
+        return end, met
+
+    monkeypatch.setattr(gbaa, "_sweep", spy)
+    return calls
 
 
-@pytest.mark.parametrize("bits", [-3.0, 0.0, 2.5])
-def test_renormalization_keeps_row_sums_in_range(monkeypatch, bits):
-    # the schedule renormalizes before a row sum could leave [2^-64, 2^64]; the
-    # backward pass reads up to two in-edges per state, so with p1 = 0.95 a step
-    # can grow a row by almost 2 max f, which the schedule must count
-    seen = []
-    renormalize = gbaa._renormalize
-    monkeypatch.setattr(gbaa, "_renormalize",
-                        lambda P, rho: seen.append(P.sum(1)) or renormalize(P, rho))
-    # (n = 3016 = 104 C: no short last chunk, whose product is zeroed past its end)
-    assert _levels(3016, 4)[:2] == (29, 29)
-    src = MarkovSource(2, [0.95, 0.95, 0.05, 0.95])
-    tr = build_trellis(2, 1)
-    rng = np.random.default_rng(7)
-    y = apply_noise(fsm_response(src.sample(3016, rng), 1), AwgnNoise(0.5), rng)
-    f = AwgnNoise(0.5).emission(y) * 2.0 ** bits
-    ep = _edge_prob(tr, src)
-    _scaled_backward(tr, ep, f)
-    _scaled_forward(tr, ep, f, _blocks(3016), keep_alphas=False)
-    rs = np.concatenate([x.ravel() for x in seen])
-    assert seen and np.all(rs > 0.0)
-    assert np.all(np.abs(np.log2(rs)) <= 64.0 + 1e-9)
+@pytest.mark.parametrize("variance, blank, rounds, loop", [
+    # AWGN 100 hardly tells the phases apart: no restarted chunk meets in the
+    # first fix-up round or the second, so the rest of every pass runs as the
+    # step-by-step loop from the first unmet chunk's corrected end
+    (100.0, None, 2, True),
+    # AWGN 0.01 drives the wrong phases to exactly zero within a chunk, but not
+    # across steps 1000-1039, which carry no information: chunk 17 (986-1043)
+    # does not meet, and the second round, which restarts chunk 18 from its
+    # corrected end, meets everywhere
+    (0.01, (1000, 1040), 2, False),
+    # a blank stretch over several chunks: each later round proves one of them
+    # and meets the chunks after the stretch, so the rounds go on, and no loop
+    (0.01, (1000, 1200), 4, False),
+], ids=["never-forgets", "one-chunk-unmet", "chunks-unmet"])
+def test_scan_matches_loop_where_chunks_do_not_meet(monkeypatch, variance, blank, rounds, loop):
+    tr, ep, f = _periodic_case(variance, 3000, seed=1)
+    if blank:
+        f[slice(*blank)] = 1.0
+    assert _levels(3000, 4) == (58, 42)
+    calls = _sweeps(monkeypatch)
+    _scaled_forward(tr, ep, f, _every(f))
+    # the first fix-up round over 51 restarted chunks meets some of them
+    # exactly when the input forgets its start somewhere
+    assert calls[1][:3] == (2, 51, 58) and (0 < calls[1][3] < 51) == (blank is not None)
+    assert [P for P, _, _, _ in calls].count(2) == rounds
+    assert (calls[-1][:2] == (1, 1)) == loop
+    _assert_scan_matches_loop(tr, ep, f)
