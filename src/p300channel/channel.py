@@ -33,7 +33,7 @@ def binary_entropy(p: float) -> float:
 # the expected surprise of the predictive mixture (``mixture_surprise``), its
 # echo in reports (``summary``), and the per-codeword decoder score
 # (``score``): log p(y | z) in the law's own log base, up to a term that is
-# the same for every codeword.
+# the same for every codeword and, for AWGN, a positive factor.
 
 @dataclass(frozen=True)
 class AwgnNoise:
@@ -91,11 +91,14 @@ class AwgnNoise:
         return {"kind": "awgn", "sigma2": self.variance}
 
     def score(self, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        """Natural-log scores of observation rows Y against 0/1 rows Z, (len Y, len Z).
+        """Scores ``y.z - |z|^2 / 2`` of observation rows Y against 0/1 rows Z, (len Y, len Z).
 
-        Drops ``-|y|^2 / 2 sigma^2``, the same for every row of Z.
+        That is sigma^2 times the natural-log likelihood, less ``-|y|^2 / 2``,
+        which is the same for every row of Z. The score is not divided by
+        sigma^2: at a subnormal variance the quotient overflows to inf, and the
+        inf ties would go to the lowest row.
         """
-        return (Y @ Z.T - 0.5 * Z.sum(axis=1)) / self.variance   # |z|^2 = |z| for bits
+        return Y @ Z.T - 0.5 * Z.sum(axis=1)   # |z|^2 = |z| for bits
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ import numpy as np
 from . import channel as ch
 from . import gbaa
 from . import rates
+from . import simulate
 from .channel import AwgnNoise, BinarySymmetric, ChannelSpec
 from .codebooks import Codebook, gen_min_dist
 from .simulate import map_decode
@@ -133,6 +134,32 @@ def _check_decoder_oracle() -> str:
         if map_decode(y, book, channel) != int(np.argmax(post)):
             raise AssertionError(f"decoder mismatch at y={bits}")
     return "MAP decoder matches exhaustive posterior on all 64 outputs"
+
+
+def _check_projected_decode() -> str:
+    # run_experiment draws each AWGN run's noise as its m = min(N, D)
+    # coordinates xi in the span of the D distinct gate responses. Independent
+    # route: a full noise vector g with those coordinates, plus a part
+    # orthogonal to the span, decoded as the nearest response (lowest index
+    # on ties). A 6x10 book has D < N, a 12x6 book D > N.
+    noise, runs = AwgnNoise(0.25), 2000
+    rng = np.random.default_rng(20246)
+    for W, N in ((6, 10), (12, 6)):
+        Z = ch.fsm_response(rng.integers(0, 2, size=(W, N)), 1)
+        distinct = {}
+        for z in Z.tolist():
+            distinct.setdefault(tuple(z), len(distinct))
+        Q = np.linalg.qr(np.array(list(distinct), dtype=np.float64).T)[0]
+        targets = rng.integers(W, size=runs)
+        projected = simulate._transmit(Z, noise, targets, np.random.default_rng(20247))
+        xi = np.random.default_rng(20247).standard_normal((runs, Q.shape[1]))
+        eta = rng.standard_normal((runs, N))
+        y = Z[targets] + np.sqrt(noise.variance) * (xi @ Q.T + eta - (eta @ Q) @ Q.T)
+        observed = np.argmin(((y[:, None, :] - Z[None]) ** 2).sum(axis=2), axis=1)
+        if not np.array_equal(projected, observed):
+            raise AssertionError(f"{np.sum(projected != observed)} of {runs} decisions "
+                                 f"differ in the {W}x{N} book")
+    return f"identical decisions on {runs} runs of a 6x10 and a 12x6 book (L=1, sigma^2=0.25)"
 
 
 def _check_min_dist_oracle() -> str:
@@ -265,6 +292,7 @@ CHECKS = (
     ("chunked scan vs step loop", _check_scan_routes),
     ("mixture surprise centring", _check_surprise_centring),
     ("control variates vs plain estimate", _check_control_variates),
+    ("projected vs observed AWGN decode", _check_projected_decode),
 )
 
 

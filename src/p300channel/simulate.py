@@ -27,17 +27,27 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return max(0.0, float(center - half)), min(1.0, float(center + half))
 
 
-def _decode(Y: np.ndarray, Z: np.ndarray, noise) -> np.ndarray:
-    """MAP character of each observation row; ties go to the lowest index.
+def _responses(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct rows of Z in order of first appearance: (U, first, resp).
 
-    Each distinct gate response is scored once by the law's ``score`` and the
-    scores are gathered back to the rows, so rows with the same response
-    (refractory twins) get bit-identical scores.
+    ``U = Z[first]`` with ``first`` increasing, and ``Z = U[resp]``.
     """
     rows = np.ascontiguousarray(Z).view(np.dtype((np.void, Z.shape[1] * Z.dtype.itemsize)))
     _, first, inv = np.unique(rows.ravel(), return_index=True, return_inverse=True)
-    return np.argmax(noise.score(Y.astype(np.float64, copy=False),
-                                 Z[first].astype(np.float64))[:, inv], axis=1)
+    order = np.argsort(first)
+    return Z[first[order]], first[order], np.argsort(order)[inv]
+
+
+def _decode(Y: np.ndarray, Z: np.ndarray, noise) -> np.ndarray:
+    """MAP character of each observation row; ties go to the lowest index.
+
+    Each distinct gate response is scored once by the law's ``score``, so rows
+    with the same response (refractory twins) tie exactly. The responses are
+    ordered by their lowest character, so the first maximum is that character.
+    """
+    U, first, _ = _responses(Z)
+    return first[np.argmax(noise.score(Y.astype(np.float64, copy=False),
+                                       U.astype(np.float64)), axis=1)]
 
 
 def map_decode(y, book: Codebook, channel: ChannelSpec) -> int:
@@ -95,26 +105,57 @@ class SimReport:
 _BLOCK = 4096   # runs per noise draw and decode; the report does not depend on it
 
 
+def _transmit(Z: np.ndarray, noise, targets: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """MAP decisions for the targets' gate responses sent through ``noise``, drawn from ``rng``.
+
+    A BSC run (crossover 0 included) draws N uniforms and scores its
+    observation against each distinct response u_j with the law's ``score``.
+    An AWGN run draws only m = min(N, D) normals xi, D the number of distinct
+    responses: with U^T = QR, the decoder reads y = z + sigma g only through
+    the statistics y.u_j - |u_j|^2 / 2 = z.u_j - |u_j|^2 / 2 + sigma (Q^T g).R_j,
+    and Q^T g is N(0, I_m), so drawing xi for Q^T g gives the same law with no
+    approximation (signal-space irrelevance). The responses are ordered by
+    their lowest character, so ties go to the lowest character, as in
+    ``_decode``.
+    """
+    U, first, resp = _responses(Z)
+    sent, Uf = resp[targets], U.astype(np.float64)
+    if isinstance(noise, AwgnNoise):
+        R = np.linalg.qr(Uf.T, mode="r")
+        gram = Uf @ Uf.T
+        G = gram - 0.5 * np.diag(gram)          # G[i, j] = u_i.u_j - |u_j|^2 / 2
+        sigma = np.sqrt(noise.variance)
+    decoded = np.empty(targets.size, dtype=np.int64)
+    for lo in range(0, targets.size, _BLOCK):
+        block = sent[lo:lo + _BLOCK]
+        if isinstance(noise, AwgnNoise):
+            stats = G[block] + sigma * rng.standard_normal((block.size, R.shape[0])) @ R
+        else:
+            stats = noise.score(apply_noise(U[block], noise, rng).astype(np.float64), Uf)
+        decoded[lo:lo + _BLOCK] = first[np.argmax(stats, axis=1)]
+    return decoded
+
+
 def run_experiment(cfg: SimConfig) -> SimReport:
     """Spell ``runs`` uniformly drawn targets and score the MAP decoder.
 
     One generator, ``default_rng(SeedSequence(seed))``, drives the whole
     experiment. It first draws every target with one ``integers(W, size=runs)``
-    call, then the noise of run 0, run 1, ... in turn: N normals (AWGN) or N
-    uniforms (BSC, crossover 0 included) per run. The runs are
-    transmitted and decoded in blocks of rows, and since the generator yields
-    the same values however a draw is split, the blocking does not change
-    the report.
+    call, then the noise of run 0, run 1, ... in turn: m = min(N, D) standard
+    normals per AWGN run, D the number of distinct gate responses of the book,
+    or N uniforms per BSC run (crossover 0 included). An AWGN run's normals
+    are the coordinates of its noise in an orthonormal basis of the span of
+    the responses, which is all the MAP decoder reads (see ``_transmit``). The
+    runs are transmitted and decoded in blocks of rows, and since the
+    generator yields the same values however a draw is split, the blocking
+    does not change the report.
     """
     book, channel = cfg.codebook, cfg.channel
     W, N = book.num_chars, book.num_trials
     Z = fsm_response(book.matrix, channel.refractory_len)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     targets = rng.integers(W, size=cfg.runs)
-    decoded = np.empty(cfg.runs, dtype=np.int64)
-    for lo in range(0, cfg.runs, _BLOCK):
-        Y = apply_noise(Z[targets[lo:lo + _BLOCK]], channel.noise, rng)
-        decoded[lo:lo + _BLOCK] = _decode(Y, Z, channel.noise)
+    decoded = _transmit(Z, channel.noise, targets, rng)
 
     correct = int(np.sum(decoded == targets))
     accuracy = correct / cfg.runs

@@ -297,7 +297,8 @@ class TestLikelihoodConsistency:
             assert np.array_equal(np.isneginf(score[b]), zero)
             if zero.all():
                 continue
-            gap = score[b][~zero] - log(f[~zero]).sum(axis=1)
+            scale = law.variance if isinstance(law, AwgnNoise) else 1.0   # AWGN scores sigma^2 log p
+            gap = score[b][~zero] / scale - log(f[~zero]).sum(axis=1)
             assert np.ptp(gap) < 1e-9
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from p300channel import gen_cbp, gen_mbc, gen_min_dist, gen_rcp, maxentropic_source
+from p300channel import AwgnNoise, gen_cbp, gen_mbc, gen_min_dist, gen_rcp, maxentropic_source
 from p300channel.cli import main
 from p300channel.codebooks import codebook_csv_text
 
@@ -235,9 +235,10 @@ class TestGenbookSimulate:
         book = tmp_path / "rcp.csv"
         run_cli(capsys, "genbook", "--kind", "rcp", "--N", "60", "--seed", "7",
                 "--out", str(book))
-        code, out, _ = run_cli(capsys, "simulate", "--book", str(book), "--L", "1",
-                               "--sigma2", "1e-300", "--runs", "50", "--seed", "5")
-        assert code == 0 and json.loads(out)["accuracy"] == 1.0
+        for sigma2 in ("1e-300", "1e-310", "5e-324"):   # the last two are subnormal
+            code, out, _ = run_cli(capsys, "simulate", "--book", str(book), "--L", "1",
+                                   "--sigma2", sigma2, "--runs", "50", "--seed", "5")
+            assert code == 0 and json.loads(out)["accuracy"] == 1.0, sigma2
 
     def test_simulate_infinite_variance_exits_3(self, capsys, tmp_path):
         # an infinite variance used to exit 0 with the argmax of NaN scores
@@ -435,6 +436,17 @@ class TestSelftest:
         code, out, _ = run_cli(capsys, "selftest", "--seed", "0")
         assert code != 0
         assert "FAIL  chunked scan vs step loop" in out
+
+    def test_projected_draw_fault_is_caught(self, capsys, monkeypatch):
+        # a projected draw that ignores the variance spreads each run's
+        # statistics as if sigma^2 were 1
+        from p300channel import simulate
+        transmit = simulate._transmit
+        monkeypatch.setattr(simulate, "_transmit",
+                            lambda Z, noise, *a: transmit(Z, AwgnNoise(1.0), *a))
+        code, out, _ = run_cli(capsys, "selftest", "--seed", "0")
+        assert code != 0
+        assert "FAIL  projected vs observed AWGN decode" in out
 
     @pytest.mark.parametrize("law", ["AwgnNoise", "BinarySymmetric"])
     def test_surprise_fault_is_caught(self, capsys, monkeypatch, law):

@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.stats import chisquare
+from hypothesis import example, given, settings, strategies as st
+from scipy.special import erfc
+from scipy.stats import binom, chisquare
 
 from p300channel import (AwgnNoise, BinarySymmetric, ChannelSpec, Codebook,
-                         SimConfig, fsm_response, gen_mbc, gen_rcp,
-                         map_decode, maxentropic_source, run_experiment,
+                         SimConfig, fsm_response, gen_cbp, gen_mbc, gen_min_dist,
+                         gen_rcp, map_decode, maxentropic_source, run_experiment,
                          wilson_interval)
 from p300channel import simulate
 from p300channel.simulate import sweep_awgn, sweep_refractory, sweep_rows_to_csv
@@ -35,6 +36,17 @@ def exact_binary_likelihoods(y, Z, eps: float) -> list[Fraction]:
 def awgn_log_likelihoods(y, Z, variance: float) -> list[float]:
     """log p(y | w) up to a common constant, one row at a time."""
     return [-float(np.sum((y - z) ** 2)) / (2.0 * variance) for z in Z.astype(np.float64)]
+
+
+def distinct_responses(Z) -> np.ndarray:
+    """Distinct rows of Z in order of first appearance, as floats."""
+    seen = dict.fromkeys(tuple(z) for z in Z.tolist())
+    return np.array(list(seen), dtype=np.float64).reshape(len(seen), Z.shape[1])
+
+
+def span_basis(Z) -> np.ndarray:
+    """Orthonormal columns Q, min(N, D) of them, with every distinct row of Z in their span."""
+    return np.linalg.qr(distinct_responses(Z).T)[0]
 
 
 def _book(matrix) -> Codebook:
@@ -108,6 +120,15 @@ class TestMapDecode:
         y = fsm_response(book.matrix[1], 1)
         assert map_decode(y, book, chan) == 0
 
+    @pytest.mark.parametrize("sigma2", [1e-310, 5e-324])
+    def test_awgn_subnormal_variance(self, sigma2):
+        # a score divided by a subnormal variance overflowed to inf, and the
+        # inf ties went to the lowest index: z_3 decoded as 2
+        book = gen_rcp(36, 60, seed=1)
+        chan = ChannelSpec(1, AwgnNoise(sigma2))
+        for i in (0, 3, 35):
+            assert map_decode(fsm_response(book.matrix[i], 1), book, chan) == i
+
     def test_length_mismatch_rejected(self):
         book = Codebook(np.array([[1, 0], [0, 1]]), kind="t", seed=0)
         with pytest.raises(ValueError):
@@ -167,17 +188,20 @@ def oracle_experiment(book: Codebook, channel: ChannelSpec, runs: int, seed: int
     """Accuracy and confusion of the documented stream, decoded by brute force.
 
     One generator: all targets first, then each run's noise in turn, drawn
-    one run at a time.
+    one run at a time. An AWGN run draws m = min(N, D) normals xi, the
+    coordinates of its noise in the basis Q of the span of the D distinct
+    responses, and is decoded from the whole observation z_t + sigma Q xi.
     """
     W, N = book.matrix.shape
     Z = fsm_response(book.matrix, channel.refractory_len)
     noise = channel.noise
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     targets = rng.integers(W, size=runs)
+    Q = span_basis(Z)
     confusion = np.zeros((W, W), dtype=np.int64)
     for t in targets:
         if isinstance(noise, AwgnNoise):
-            y = Z[t] + rng.normal(0.0, np.sqrt(noise.variance), N)
+            y = Z[t] + np.sqrt(noise.variance) * (Q @ rng.standard_normal(Q.shape[1]))
             scores = awgn_log_likelihoods(y, Z, noise.variance)
         else:
             y = Z[t] ^ (rng.random(N) < noise.crossover)
@@ -199,11 +223,14 @@ STREAM_CASES = [
     ("twin", ChannelSpec(1, AwgnNoise(1e-4))),
     ("twin", ChannelSpec(1)),
     ("twin", ChannelSpec(2, BinarySymmetric(0.1))),
+    ("rcp60", ChannelSpec(0, AwgnNoise(0.5))),   # 36 distinct responses of rank 11
 ]
 
 
 def _stream_book(kind: str) -> Codebook:
-    return gen_rcp(36, 24, seed=5) if kind == "rcp" else Codebook(TWIN_ROWS, kind="twin", seed=0)
+    if kind == "twin":
+        return Codebook(TWIN_ROWS, kind="twin", seed=0)
+    return gen_rcp(36, 24 if kind == "rcp" else 60, seed=5)
 
 
 class TestExperimentStream:
@@ -235,6 +262,64 @@ class TestExperimentStream:
         assert counts.sum() == 20_000
         assert chisquare(counts).pvalue > 1e-3
 
+    @settings(max_examples=150, deadline=None)
+    @given(book=small_books(), L=st.integers(0, 2), sigma2=st.floats(1e-3, 1e3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(book=_book([[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 1, 0]]), L=0, sigma2=1.0,
+             seed=0)   # twins, rank 2 < D = 3
+    @example(book=_book([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [0, 0, 0]]), L=1,
+             sigma2=0.1, seed=1)   # N = 3 < D = 5
+    def test_projected_draw_decides_like_the_full_observation(self, book, L, sigma2, seed):
+        # any g whose coordinates in the span basis Q are the draw sigma xi,
+        # whatever its part orthogonal to the span, gives the same decisions
+        # through _decode of z_t + g
+        noise, Z = AwgnNoise(sigma2), fsm_response(book.matrix, L)
+        Q = span_basis(Z)
+        rng = np.random.default_rng(seed)
+        targets = rng.integers(book.num_chars, size=20)
+        decided = simulate._transmit(Z, noise, targets, np.random.default_rng([seed, 1]))
+        xi = np.random.default_rng([seed, 1]).standard_normal((20, Q.shape[1]))
+        eta = rng.standard_normal((20, book.num_trials))
+        g = np.sqrt(sigma2) * (xi @ Q.T + eta - (eta @ Q) @ Q.T)
+        assert np.array_equal(decided, simulate._decode(Z[targets] + g, Z, noise))
+
+
+BOUND_BOOK_SEEDS = {1: (101, 103, 104, 105), 2: (202, 203, 204, 205)}   # the acceptance books
+
+
+def _decodable_books(L: int) -> dict[str, Codebook]:
+    """One 36x60 book of each kind whose gate responses at L are distinct."""
+    mbc, rcp, cbp, mindist = BOUND_BOOK_SEEDS[L]
+    books = {"mbc": gen_mbc(maxentropic_source(L), 36, 60, seed=mbc),
+             "rcp": gen_rcp(36, 60, seed=rcp),
+             "cbp": gen_cbp(60, 3, seed=cbp),
+             "mindist": gen_min_dist(36, 60, weight=10, trials=50, seed=mindist)}
+    for book in books.values():
+        assert len(distinct_responses(fsm_response(book.matrix, L))) == 36
+    return books
+
+
+class TestAccuracyBounds:
+    @pytest.mark.parametrize("sigma2", [0.25, 0.5])
+    @pytest.mark.parametrize("L", [1, 2])
+    def test_awgn_error_count_lies_between_the_pairwise_bounds(self, L, sigma2):
+        # for target i the MAP error is at least the chance of landing nearer
+        # to some u_j than to u_i, Q(d_ij / 2 sigma), and at most the union of
+        # those events (Proakis & Salehi, ch. 4). Neither decoding route holds
+        # these bounds by construction. One-sided binomial tests at 1e-3.
+        runs = 20_000
+        for kind, book in _decodable_books(L).items():
+            Z = fsm_response(book.matrix, L).astype(np.float64)
+            d = np.sqrt(((Z[:, None] - Z[None]) ** 2).sum(axis=2))
+            pair = 0.5 * erfc(d / (2.0 * np.sqrt(sigma2)) / np.sqrt(2.0))
+            np.fill_diagonal(pair, 0.0)
+            lo, hi = pair.max(axis=1).mean(), min(1.0, pair.sum(axis=1).mean())
+            rep = run_experiment(SimConfig(book, ChannelSpec(L, AwgnNoise(sigma2)),
+                                           runs=runs, seed=L))
+            errors = runs - round(rep.accuracy * runs)
+            assert binom.cdf(errors, runs, lo) >= 1e-3, (kind, errors, runs * lo)
+            assert binom.sf(errors - 1, runs, hi) >= 1e-3, (kind, errors, runs * hi)
+
 
 class TestRunExperiment:
     def test_noiseless_distinct_responses_give_perfect_accuracy(self):
@@ -243,10 +328,14 @@ class TestRunExperiment:
         assert rep.accuracy == 1.0
 
     def test_chance_floor_under_huge_noise(self):
+        # as sigma^2 grows the decision stops depending on the target, so the
+        # count of correct runs tends to Binomial(runs, 1/36) exactly; at 1e4
+        # the law still reads 0.0295, not 1/36. One-sided tests at 1e-3.
         book = gen_rcp(36, 60, seed=3)
-        cfg = SimConfig(book, ChannelSpec(1, AwgnNoise(1e4)), runs=10_000, seed=1)
-        rep = run_experiment(cfg)
-        assert rep.ci_lo <= 1 / 36 <= rep.ci_hi
+        cfg = SimConfig(book, ChannelSpec(1, AwgnNoise(1e8)), runs=10_000, seed=1)
+        correct = round(run_experiment(cfg).accuracy * cfg.runs)
+        assert binom.cdf(correct, cfg.runs, 1 / 36) >= 1e-3
+        assert binom.sf(correct - 1, cfg.runs, 1 / 36) >= 1e-3
 
     def test_seed_determinism(self):
         book = gen_rcp(36, 24, seed=5)
