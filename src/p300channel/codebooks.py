@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import as_bits
-from .sources import MarkovSource, stationary_distribution
+from .sources import MarkovSource, _history_sweep, stationary_distribution
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,8 +76,10 @@ def gen_mbc(source: MarkovSource, W: int, N: int, seed: int) -> Codebook:
         batch = min(budget, W - len(rows))
         budget -= batch
         U = rng.random((batch, N + 1))
+        X = np.empty((batch, N), dtype=np.int8)
         h0 = cdf.searchsorted(U[:, 0], side="right")
-        for row in map(tuple, source._sweep(U[:, 1:], h0)):
+        _history_sweep(source.p1, U[:, 1:].ravel(), X.ravel(), 0, h0[None], N)
+        for row in map(tuple, X):
             if row in seen:
                 continue
             seen.add(row)

@@ -17,18 +17,15 @@ the noiseless limit the weights collapse to the constraint graph and the
 update reproduces the closed-form optimum.
 
 Both recursions are products of per-step transfer matrices (Arnold,
-Loeliger, Vontobel, Kavcic & Zeng, IEEE T-IT 2006) and run as a speculative
-scan (Maleki, Musuvathi & Mytkowicz, PPoPP 2014), which relies on the filter
-forgetting its start (Le Gland & Mevel, MCSS 2000): the n steps are cut into
-chunks of about 4 n^(1/3), every chunk but the first sweeps from the uniform
-vector, all at once, and a fix-up round restarts each chunk from its
-predecessor's end until the two runs agree to a relative 1e-13 in every
-entry. Where a chunk does not meet by its end, another round restarts the
-chunks after it from its corrected end; once a round after the first meets
-nothing, the rest of the pass runs as the step-by-step loop, which an input
-that never forgets (a periodic source under heavy noise) needs. A pass is
-about 4 n^(1/3) plus the fix-up's 20 to 70 vectorized Python steps instead
-of n, with n S work and no S x S product at any trellis size.
+Loeliger, Vontobel, Kavcic & Zeng, IEEE T-IT 2006) and run as the speculative
+scan that also draws the source (``sources._speculative_scan``), which relies
+on the filter forgetting its start (Le Gland & Mevel, MCSS 2000): chunks of
+about 4 n^(1/3) steps sweep all at once, every chunk but the first from the
+uniform vector, and fix-up rounds restart them from their predecessors' ends
+until the two runs agree to a relative 1e-13 in every entry. An input that
+never forgets (a periodic source under heavy noise) ends in the step-by-step
+loop. A pass is about 4 n^(1/3) plus the fix-up's 20 to 70 vectorized Python
+steps instead of n, with n S work and no S x S product at any trellis size.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ import numpy as np
 from .channel import (AwgnNoise, ChannelSpec, Trellis, apply_noise, build_trellis,
                       fsm_response)
 from .rates import ConvergenceError, perron_pair
-from .sources import MarkovSource, _chunk_len, stationary_distribution
+from .sources import MarkovSource, _chunk_len, _speculative_scan, stationary_distribution
 
 
 @dataclass(frozen=True)
@@ -124,35 +121,12 @@ def _chunked_scan(f: np.ndarray, v0: np.ndarray, gather: np.ndarray, prob: np.nd
 
     ``w_t[j, m] = prob[j, m] * f[t, zsel[j, m]]`` is the weight of the m-th of
     the two trellis edges that feed entry j, and c_t = |v_t w_t| is the
-    normalizer of step t. The n steps are split into K chunks of
-    C = 2 ``_chunk_len(n, S)`` steps, about 4 n^(1/3), and run as a
-    speculative scan:
-
-    1. a sweep of all chunks at once (:func:`_sweep`), chunk 0 from ``v0`` and
-       every other chunk from the uniform vector, which writes every vector,
-       normalizer and readout. Chunk 0 is exact;
-    2. fix-up rounds. A round restarts every chunk after the proven ones
-       from its predecessor's end, all at once, beside a rerun from its
-       previous start, and overwrites its steps until every chunk has met
-       (``_MEET``, tested every fourth step and at a chunk's end). From its
-       meeting step on a chunk's earlier values are right, since both
-       vectors follow the same steps. The chunks are proven up to the first
-       one that does not meet by its end, whose restarted run is right; the
-       next round starts after it, from its corrected end. A chunk that
-       forgets its start in more than C steps fails the first round, whose
-       rerun starts from the uniform vector, but a later round compares two
-       runs from nearly right starts and meets within a few steps;
-    3. a round after the first in which no chunk meets shows an input that
-       does not forget (such as a periodic source under heavy noise). What
-       is unproven then runs as one chunk of the same sweep, which is the
-       step-by-step loop, from the last corrected end. Every round proves a
-       chunk and costs at most C steps, so a pass never takes more than
-       about n vectorized steps.
-
-    Every S runs this scan. A zero normalizer from a uniform start implies
-    one from any start, so a collapse in the sweep is never spurious; the
-    earliest collapse among the proven steps is the loop's, and it ends the
-    rounds.
+    normalizer of step t. The n steps run as the speculative scan
+    ``_speculative_scan`` over chunks of C = 2 ``_chunk_len(n, S)`` steps:
+    chunk 0 sweeps from ``v0`` and every other chunk from the uniform vector.
+    A zero normalizer from a uniform start implies one from any start, so a
+    collapse in the sweep is never spurious; the earliest collapse among the
+    proven steps is the loop's, and it ends the rounds.
 
     Returns the (n+1, S) vectors (None unless ``keep``), the sums of log2 c_t
     over the blocks [ends[b], ends[b+1]) of the increasing ``ends`` (from 0
@@ -161,43 +135,24 @@ def _chunked_scan(f: np.ndarray, v0: np.ndarray, gather: np.ndarray, prob: np.nd
     """
     n, S = f.shape[0], v0.size
     C = min(n, 2 * _chunk_len(n, S))
-    K = -(-n // C)
     vs = np.empty((n + 1, S)) if keep else None
     if keep:
         vs[0] = v0
     scale = np.empty(n)
     reads = None if readout is None else np.empty(n)
-    out = (scale, reads, vs)
     weight = np.zeros((zsel.size, f.shape[1]))       # weight @ f[t] is w_t, flattened
     weight[np.arange(zsel.size), zsel.ravel()] = prob.ravel()
 
-    def tail(s):
-        return f[s:], tuple(None if a is None else a[s:] for a in out)
+    def sweep(s, v, steps):
+        if _first_collapse(scale[:s]) is not None:   # the pass has failed: no more rounds
+            return v, np.ones(v.shape[-1], dtype=bool)
+        out = tuple(None if a is None else a[s:] for a in (scale, reads, vs))
+        return _sweep(f[s:], out, v, steps, gather, weight, readout)
 
-    starts = np.full((S, K), 1.0 / S)
+    starts = np.full((S, -(-n // C)), 1.0 / S)
     starts[:, 0] = v0
-    p = 0   # chunks 0 .. p are proven: their values, and their end, are the loop's
     with np.errstate(divide="ignore", invalid="ignore"):
-        end, _ = _sweep(f, out, starts[:, None], C, gather, weight, readout)
-        last = end[:, 0, :K - 1]   # the end vector of each chunk but the last
-        rounds = 0
-        while p < K - 1:
-            restart = np.stack([last[:, p:], starts[:, p + 1:]], axis=1)
-            end, met = _sweep(*tail((p + 1) * C), restart, C, gather, weight, readout)
-            unmet = np.flatnonzero(~met[:-1])   # the last chunk's end starts nothing
-            if not unmet.size:
-                p = K - 1
-                break
-            starts[:, p + 1:] = restart[:, 0]
-            last[:, p + 1:] = end[:, 0, :K - 2 - p]
-            p += 1 + int(unmet[0])
-            rounds += 1
-            if _first_collapse(scale[:(p + 1) * C]) is not None:   # the pass has failed
-                break
-            if rounds > 1 and not met.any():   # the input does not forget: use the loop
-                s = (p + 1) * C
-                _sweep(*tail(s), last[:, p, None, None], n - s, gather, weight, readout)
-                break
+        _speculative_scan(sweep, starts, n, C)
         return vs, np.add.reduceat(np.log2(scale), ends[:-1]), _first_collapse(scale), reads
 
 

@@ -202,7 +202,19 @@ def _check_scan_routes() -> str:
         worst = max(worst, np.abs(np.column_stack([log2c, q, alphas[:-1]]) - rows).max())
     if worst >= 1e-12:
         raise AssertionError(f"scan/loop gap {worst:.3e} >= 1e-12")
-    return f"max gap {worst:.1e} in normalizers, predictions, vectors (n={n}, 3 channels)"
+    # the sampler runs the same rounds: its draws and generator state against the
+    # loop's, from a source that never forgets, one that forgets slowly, a random one
+    for r, p1 in ((2, [1.0, 0.0, 0.0, 0.0]), (2, [0.999, 0.001, 0.001, 0.001]),
+                  (3, np.random.default_rng(3).random(8))):
+        a, b = np.random.default_rng(20245), np.random.default_rng(20245)
+        x, u, h, want = MarkovSource(r, p1).sample(n, a), b.random(n), 0, []
+        for t in range(n):
+            want.append(int(u[t] < p1[h]))
+            h = (2 * h + want[-1]) % (1 << r)
+        if x.tolist() != want or a.bit_generator.state != b.bit_generator.state:
+            raise AssertionError(f"sample differs from the loop at order {r}")
+    return (f"max gap {worst:.1e} in normalizers, predictions, vectors (n={n}, 3 channels); "
+            "samples identical (3 sources)")
 
 
 def _check_surprise_centring() -> str:

@@ -122,8 +122,7 @@ def _transmit(Z: np.ndarray, noise, targets: np.ndarray, rng: np.random.Generato
     sent, Uf = resp[targets], U.astype(np.float64)
     if isinstance(noise, AwgnNoise):
         R = np.linalg.qr(Uf.T, mode="r")
-        gram = Uf @ Uf.T
-        G = gram - 0.5 * np.diag(gram)          # G[i, j] = u_i.u_j - |u_j|^2 / 2
+        G = noise.score(Uf, Uf)                 # G[i, j] = u_i.u_j - |u_j|^2 / 2
         sigma = np.sqrt(noise.variance)
     decoded = np.empty(targets.size, dtype=np.int64)
     for lo in range(0, targets.size, _BLOCK):

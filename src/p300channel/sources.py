@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -64,60 +64,91 @@ class MarkovSource:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw a length-n realization from the all-zero history.
 
-        A stationary start goes through :meth:`_sweep`, as ``gen_mbc`` does. Bit t is
-        ``u[t] < p1[h_t]`` for ``u = rng.random(n)``, computed by a two-level
-        chunked scan over history integers: with K chunks of C = ``_chunk_len(n, H)``,
-        about 2 n^(1/3), steps (H = 2^r),
-
-        1. the H -> H history map of each of the first K-1 chunks, for all
-           chunks at once, one step at a time;
-        2. a K-step walk of those maps from history 0, in plain Python over
-           one flat list, which gives the history at every chunk boundary;
-        3. a C-step sweep inside all chunks at once from their boundary
-           histories, which draws every bit.
-
-        That is about 2C numpy steps and K list lookups instead of n numpy
-        steps; the comparisons and the generator draws are those of the
-        step-by-step loop, so the output and the generator state afterwards
-        are identical to it.
+        Bit t is ``u[t] < p1[h_t]`` for ``u = rng.random(n)``, drawn by
+        :func:`_speculative_scan` over chunks of C = ``_chunk_len(n, 2)`` steps,
+        every chunk swept from history 0. Histories are discrete, so a restarted
+        chunk that meets its earlier run stays equal to it (coupling: Propp &
+        Wilson, Random Struct. Algorithms 1996). The comparisons and generator
+        draws are the step-by-step loop's, so the output and the generator state
+        afterwards are identical to it.
         """
-        if n == 0:
-            return np.empty(0, dtype=np.int8)
-        C = _chunk_len(n, self.num_histories)
-        K = -(-n // C)
-        # pad to K full chunks; the padding only drives bits past n, which are dropped
-        U = np.ones((K, C))
-        rng.random(out=U.reshape(-1)[:n])
-        H = self.num_histories
-        M = np.broadcast_to(np.arange(H), (K - 1, H))
-        for i in range(C):
-            M = ((M << 1) | (U[:-1, i, None] < self.p1[M])) & (H - 1)
-        maps = M.ravel().tolist()   # one flat list: no Python list per chunk
-        bounds = [0]
-        for k in range(0, len(maps), H):
-            bounds.append(maps[k + bounds[-1]])
-        return self._sweep(U, np.array(bounds)).ravel()[:n]
+        x = np.empty(n, dtype=np.int8)
+        if n:
+            C = _chunk_len(n, 2)
+            _speculative_scan(partial(_history_sweep, self.p1, rng.random(n), x),
+                              np.zeros(-(-n // C), dtype=np.intp), n, C)
+        return x
 
-    def _sweep(self, U: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Bits of independent chains: row k starts at history h[k], driven by U[k].
 
-        Column i holds bit i of every row, ``U[:, i] < p1[h]``, which each
-        history then shifts in.
-        """
-        mask = self.num_histories - 1
-        X = np.empty(U.shape, dtype=np.int8)
-        for i in range(U.shape[1]):
-            b = U[:, i] < self.p1[h]
-            X[:, i] = b
-            h = ((h << 1) | b) & mask
-        return X
+def _history_sweep(p1: np.ndarray, u: np.ndarray, x: np.ndarray, s: int, h: np.ndarray, C: int):
+    """The sampler's sweep: chains of history integers h[P, k], chunk k at step s + kC.
+
+    Step i of chunk k draws bit ``u[s + kC + i] < p1[h]`` into ``x`` (that of
+    the first chain), which each history then shifts in. With P = 2 a chunk
+    has met once its two histories are equal; they stay equal from there.
+    """
+    mask = len(p1) - 1
+    met = np.zeros(h.shape[1], dtype=bool)
+    for i in range(C):
+        ui = u[s + i::C]
+        k = ui.size
+        if k < h.shape[1]:                # a short last chunk has ended
+            h = h[:, :k]
+        b = ui < p1[h]
+        x[s + i::C] = b[0]
+        h = ((h << 1) | b) & mask
+        if len(h) == 2:
+            met[:k] |= h[0] == h[1]
+            if met[:k].all():
+                break
+    return h, met
+
+
+def _speculative_scan(sweep, starts: np.ndarray, n: int, C: int) -> None:
+    """Run n steps of a recursion as K = ceil(n / C) chunks, by speculation and fix-up rounds.
+
+    ``sweep(s, v, c)`` advances the P runs ``v[..., P, k]`` of every chunk k
+    through its steps s + kc .. s + kc + c - 1, all chunks at once, writes the
+    first run's values, and returns the runs after its last step and whether
+    each chunk met (with P = 2, its runs agree; it stops once all have). The
+    first sweep starts chunk k from ``starts[..., k]`` (overwritten). Each
+    fix-up round (Maleki, Musuvathi & Mytkowicz, PPoPP 2014) restarts every
+    chunk after the proven ones from its predecessor's end, beside a rerun
+    from its previous start: from its meeting step on, a chunk's earlier
+    values are right. The chunks up to the first that does not meet are
+    proven, so a round costs at most C steps and proves at least one chunk.
+    A round after the first that meets nothing shows an input that does not
+    forget its start; the unproven rest then runs as the step-by-step loop.
+    """
+    K = -(-n // C)
+    end, _ = sweep(0, starts[..., None, :], C)
+    last = end[..., 0, :K - 1]   # the end of each chunk but the last
+    p, rounds = 0, 0             # chunks 0 .. p are proven
+    while p < K - 1:
+        restart = np.stack([last[..., p:], starts[..., p + 1:]], axis=-2)
+        end, met = sweep((p + 1) * C, restart, C)
+        unmet = np.flatnonzero(~met[:-1])   # the last chunk's end starts nothing
+        if not unmet.size:
+            return
+        starts[..., p + 1:] = restart[..., 0, :]
+        last[..., p + 1:] = end[..., 0, :K - 2 - p]
+        p += 1 + int(unmet[0])
+        rounds += 1
+        if rounds > 1 and not met.any():
+            s = (p + 1) * C
+            sweep(s, last[..., p, None, None], n - s)
+            return
 
 
 def _chunk_len(n: int, width: int) -> int:
     """Chunk length C of a chunked scan over n >= 1 steps, ``width`` numbers per chunk state.
 
-    A scan makes about 2C steps inside its K = n / C chunks and K, or 3
-    sqrt(K), over their boundaries, so C = ceil(2 n^(1/3)) balances the two.
+    A speculative scan over chunks of C steps makes C vectorized steps in its
+    first sweep and about m in each fix-up round, m the steps its restarts
+    take to meet, and a round redoes about 2 m n / C of the sweep's n steps
+    of work; C = ceil(2 n^(1/3)) keeps both small. The sampler's histories
+    meet within a few steps and take C; the trellis passes meet in 20 to 70
+    steps and take 2C, so that a round redoes less than the sweep did.
     C grows past that to keep the K chunk states of a step within 2^15
     numbers (256 KiB), where more chunks cost cache misses, not Python steps.
     """

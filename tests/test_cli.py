@@ -437,6 +437,25 @@ class TestSelftest:
         assert code != 0
         assert "FAIL  chunked scan vs step loop" in out
 
+    def test_sampler_restart_fault_is_caught(self, capsys, monkeypatch):
+        # the sampler's fix-up restarts every chunk but the first from its
+        # predecessor's end history and overwrites its bits until it meets the
+        # speculative sweep, so a wrong restart history shows as draws that
+        # differ from the step loop's
+        from p300channel import sources
+        sweep = sources._history_sweep
+
+        def skewed(p1, u, x, s, h, *args):
+            if h.shape[0] == 2:            # restart | speculative rerun: a fix-up round
+                h = h.copy()
+                h[0] ^= 1
+            return sweep(p1, u, x, s, h, *args)
+
+        monkeypatch.setattr(sources, "_history_sweep", skewed)
+        code, out, _ = run_cli(capsys, "selftest", "--seed", "0")
+        assert code != 0
+        assert "FAIL  chunked scan vs step loop" in out
+
     def test_projected_draw_fault_is_caught(self, capsys, monkeypatch):
         # a projected draw that ignores the variance spreads each run's
         # statistics as if sigma^2 were 1

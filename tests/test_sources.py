@@ -4,8 +4,10 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from p300channel import (MarkovSource, ReducibleChainError, gen_mbc, load_source,
+from p300channel import (AwgnNoise, BinarySymmetric, ChannelSpec, GbaaConfig, MarkovSource,
+                         ReducibleChainError, gbaa_optimize, gen_mbc, load_source,
                          maxentropic_source, save_source)
+from p300channel import sources
 from p300channel.sources import (_chunk_len, history_from_label, history_label,
                                  recurrent_classes, stationary_distribution)
 
@@ -199,11 +201,9 @@ def test_de_bruijn_source_is_one_cycle():
 # Chunked sampler vs the step-by-step loop
 # ---------------------------------------------------------------------------
 
-# lengths that fill the last chunk exactly, or leave one step in it or missing;
-# up to 5000 steps and order 4 the chunk length does not depend on the order
+# lengths that fill the sampler's last chunk exactly, or leave one step in it or missing
 chunk_edges = [n for n in range(1, 5001)
-               if n % _chunk_len(n, 16) in (0, 1, _chunk_len(n, 16) - 1)]
-assert all(_chunk_len(n, 16) == _chunk_len(n, 2) for n in chunk_edges)
+               if n % _chunk_len(n, 2) in (0, 1, _chunk_len(n, 2) - 1)]
 lengths = st.one_of(st.integers(0, 5000), st.sampled_from(chunk_edges))
 
 
@@ -226,11 +226,65 @@ def test_chunked_sample_matches_loop(source, n, seed):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 100, 101, 10_007, 99_975, 100_000])
 @pytest.mark.parametrize("order", [1, 3])
 def test_chunked_sample_matches_loop_long(n, order):
+    assert _chunk_len(99_975, 2) == _chunk_len(100_000, 2) == 93
     rng = np.random.default_rng(order)
     source = MarkovSource(order, rng.random(1 << order))
     a, b = np.random.default_rng(n), np.random.default_rng(n)
     assert np.array_equal(source.sample(n, a), loop_sample(source, n, b))
     assert a.bit_generator.state == b.bit_generator.state
+
+
+def _history_sweeps(monkeypatch):
+    """Record (runs per chunk, chunks, chunks that met) of every sweep the sampler makes."""
+    calls, sweep = [], sources._history_sweep
+
+    def spy(p1, u, x, s, h, *args):
+        end, met = sweep(p1, u, x, s, h, *args)
+        calls.append(h.shape + (int(met.sum()),))
+        return end, met
+
+    monkeypatch.setattr(sources, "_history_sweep", spy)
+    return calls
+
+
+def _gbaa_iterate(L, noise):
+    # the first GBAA update, which the benchmark's L = 2 and L = 3 optimize jobs return
+    chan = ChannelSpec(L, noise)
+    return gbaa_optimize(chan, GbaaConfig(order=L, sample_len=10_000, max_iters=2))[0]
+
+
+ROUND_CASES = [
+    # the benchmark's sources forget their start within a chunk: every restart
+    # meets in the first fix-up round, and there is no loop
+    *[(f"uniform-{r}", MarkovSource.uniform(r), range(1, 2), False) for r in (1, 2, 3)],
+    *[(f"maxentropic-{L}", maxentropic_source(L), range(1, 2), False) for L in (1, 2, 3)],
+    ("gbaa-L2", (2, BinarySymmetric(0.05)), range(1, 2), False),
+    ("gbaa-L3", (3, AwgnNoise(0.25)), range(1, 2), False),
+    # period 3 from ground: a restart in another phase never meets, so the
+    # second round meets nothing and the rest runs as the step-by-step loop
+    ("period-3", MarkovSource(2, [1.0, 0.0, 0.0, 0.0]), range(2, 3), True),
+    # nearly period 3: two phases meet only after a rare draw, so most chunks
+    # fail a round and the rounds go on, each proving at least one of the K - 1
+    ("slow-mixing", MarkovSource(2, [0.999, 0.001, 0.001, 0.001]), range(10, 1000), False),
+]
+
+
+@pytest.mark.parametrize("n", [10_000, 20_000])
+@pytest.mark.parametrize("name, source, rounds, loop", ROUND_CASES,
+                         ids=[case[0] for case in ROUND_CASES])
+def test_sample_rounds_match_loop(monkeypatch, n, name, source, rounds, loop):
+    if isinstance(source, tuple):
+        source = _gbaa_iterate(*source)
+    calls = _history_sweeps(monkeypatch)
+    got, got_state = _draw(MarkovSource.sample, source, n, seed=n)
+    K = -(-n // _chunk_len(n, 2))
+    assert calls[0] == (1, K, 0) and calls[1][:2] == (2, K - 1)
+    assert [P for P, _, _ in calls].count(2) in rounds
+    assert (calls[-1][:2] == (1, 1)) == loop
+    if rounds == range(1, 2):
+        assert calls[1][2] == K - 1
+    want, want_state = _draw(loop_sample, source, n, seed=n)
+    assert np.array_equal(got, want) and got_state == want_state
 
 
 def test_empty_sample():
